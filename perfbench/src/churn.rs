@@ -6,20 +6,30 @@
 //! verify 22 / quality 8 / mst 5 / repair 55, so the median query is a
 //! repair and the p99 lands in MST.
 //!
-//! Every served digest is checked against a sequential in-process
-//! `serve_shared` replay of the same queries: the digest multisets must
-//! be equal.
+//! A run is cut into `SEGMENTS` segments of equal length, each preceded
+//! by a set-up; the first set-up's corpora and trace are the ones
+//! served. So `setup_s` samples the host across the whole run. The
+//! segments go in pairs: the odd segment of a pair replays the trace from
+//! where the even one started, so a traced run, which records spans in
+//! the even segments only, compares the same queries with and without
+//! spans for the tracing overhead.
+//!
+//! Every served digest is checked, as it arrives, against a sequential
+//! in-process `serve_shared` replay of the same query; with every digest
+//! equal, the digest multisets are equal too.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use lcs_api::{Pipeline, QueryValue, Session, ShortcutStrategy, Strategy, Threads};
+use lcs_api::{QueryValue, Session, ShortcutStrategy, Strategy};
 use lcs_workload::{
     generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryEvent, QueryKind, QueryMix,
     WorkloadSpec,
 };
 
+use crate::reference::{self, locate, Reference};
 use crate::report::Outcome;
 use crate::stats::{describe, median, quantile, sorted};
 use crate::trace::{SpanId, SpanLog};
@@ -46,7 +56,7 @@ const MIX: QueryMix = QueryMix {
     mst: 5,
     repair: 55,
 };
-/// Requests of the trace; the loop wraps around if a run outlasts them.
+/// Requests of the trace; the cursor wraps around if a run outlasts them.
 const TRACE_LEN: usize = 50_000;
 
 fn corpora(seed: u64) -> Result<Vec<Corpus>, String> {
@@ -67,23 +77,8 @@ fn corpora(seed: u64) -> Result<Vec<Corpus>, String> {
 fn sessions(corpora: &[Corpus], seed: u64) -> Result<Vec<Session<'_>>, String> {
     corpora
         .iter()
-        .map(|corpus| {
-            Pipeline::on(corpus.graph())
-                .seed(seed)
-                .threads(Threads::Fixed(1))
-                .build()
-                .map_err(|e| format!("Pipeline::build: {e}"))
-        })
+        .map(|corpus| reference::session(corpus.graph(), seed))
         .collect()
-}
-
-/// Trace entry `e` is entry `e % ENTRIES` of graph `e / ENTRIES`.
-fn locate(event: &QueryEvent) -> (usize, QueryEvent) {
-    let local = QueryEvent {
-        entry: event.entry % ENTRIES,
-        ..*event
-    };
-    (event.entry / ENTRIES, local)
 }
 
 /// The layer each query kind spends its service time in.
@@ -97,51 +92,96 @@ fn kind_span(kind: QueryKind) -> &'static str {
     }
 }
 
-/// One served query.
+/// Segments of a run: an even number, and at least `SETUP_REPS`.
+const SEGMENTS: usize = 10;
+const _: () = assert!(SEGMENTS.is_multiple_of(2) && SEGMENTS as u64 >= SETUP_REPS);
+
+/// One served query, kept small: a run keeps tens of thousands, and
+/// their memory counts in the process's peak resident set.
 #[derive(Debug, Clone, Copy)]
 struct Sample {
-    event: usize,
-    /// Time of the whole `serve_shared` call, µs.
-    call_us: f64,
-    /// `Served::wall_nanos` in µs.
-    serve_us: f64,
-    digest: u64,
-    all_good: bool,
+    /// The segment that served it.
+    segment: u32,
+    /// The cursor position it was served at; the trace event is this
+    /// modulo the trace length.
+    pos: u32,
+    /// Time of the whole `serve_shared` call, ns.
+    call_ns: u32,
+    /// `Served::wall_nanos`.
+    serve_ns: u32,
+}
+
+impl Sample {
+    fn call_us(&self) -> f64 {
+        f64::from(self.call_ns) / 1e3
+    }
+
+    fn serve_us(&self) -> f64 {
+        f64::from(self.serve_ns) / 1e3
+    }
+}
+
+fn saturating_u32(v: u64) -> u32 {
+    u32::try_from(v).unwrap_or(u32::MAX)
+}
+
+/// The replay's digest of every (kind, entry) the trace holds.
+type Expected = HashMap<(usize, usize), u64>;
+
+fn expected_digests(reference: &Reference<'_>, trace: &[QueryEvent]) -> Result<Expected, String> {
+    let mut expected = Expected::new();
+    for event in trace {
+        if let Entry::Vacant(slot) = expected.entry((event.kind.index(), event.entry)) {
+            slot.insert(reference.digest(event)?);
+        }
+    }
+    Ok(expected)
 }
 
 /// One client thread: next event from the shared cursor, served on its
-/// graph's shared session, until `deadline`.
+/// graph's shared session and checked against the replay's digest, until
+/// `deadline`.
+#[allow(clippy::too_many_arguments)]
 fn client(
     sessions: &[Session<'_>],
     corpora: &[Corpus],
     trace: &[QueryEvent],
+    expected: &Expected,
     cursor: &AtomicUsize,
     deadline: Instant,
+    segment: usize,
     mut log: SpanLog,
 ) -> (Vec<Sample>, Vec<String>, SpanLog) {
     let mut samples = Vec::new();
     let mut errors = Vec::new();
     while Instant::now() < deadline {
-        let i = cursor.fetch_add(1, Ordering::Relaxed) % trace.len();
-        let traced = log.on() && i.is_multiple_of(2);
-        let (graph, local) = locate(&trace[i]);
+        let pos = cursor.fetch_add(1, Ordering::Relaxed);
+        let i = pos % trace.len();
+        let (graph, local) = locate(&trace[i], ENTRIES);
         let start = Instant::now();
         let served = sessions[graph].serve_shared(query_of(&corpora[graph], &local));
         let end = Instant::now();
         match served {
             Ok(served) => {
-                if traced {
+                let want = expected.get(&(trace[i].kind.index(), trace[i].entry));
+                if want != Some(&served.digest) || !served.all_good {
+                    errors.push(format!(
+                        "{:?}: served digest {} (all_good {}) != replay {want:?}",
+                        trace[i], served.digest, served.all_good
+                    ));
+                    continue;
+                }
+                if log.on() {
                     let (s, e) = (log.nanos(start), log.nanos(end));
                     let root = log.record("api.serve_shared", SpanId::NONE, i as u64, s, e);
                     let name = kind_span(trace[i].kind);
                     log.record(name, root, i as u64, s, s + served.wall_nanos);
                 }
                 samples.push(Sample {
-                    event: i,
-                    call_us: end.duration_since(start).as_secs_f64() * 1e6,
-                    serve_us: served.wall_nanos as f64 / 1e3,
-                    digest: served.digest,
-                    all_good: served.all_good,
+                    segment: segment as u32,
+                    pos: pos as u32,
+                    call_ns: saturating_u32(end.duration_since(start).as_nanos() as u64),
+                    serve_ns: saturating_u32(served.wall_nanos),
                 });
             }
             Err(e) => errors.push(format!("{:?}: {e}", trace[i])),
@@ -212,71 +252,75 @@ fn run_inner(args: &Args, out: &mut Outcome) -> Result<(), String> {
             setups.push(times);
             Ok((corpora, trace))
         };
-    for rep in 0..SETUP_REPS - 1 {
-        setup_once(&mut log, rep)?;
-    }
-    let (corpora, trace) = setup_once(&mut log, SETUP_REPS - 1)?;
+    let (corpora, trace) = setup_once(&mut log, 0)?;
     let sessions = sessions(&corpora, args.seed)?;
-
-    let cursor = AtomicUsize::new(0);
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(args.seconds);
-    let results: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let (sessions, corpora, trace, cursor) = (&sessions, &corpora, &trace, &cursor);
-                let worker_log = log.fork();
-                scope.spawn(move || client(sessions, corpora, trace, cursor, deadline, worker_log))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let mut samples = Vec::new();
-    for (s, errors, worker_log) in results {
-        samples.extend(s);
-        for e in errors {
-            out.check(false, || e);
-        }
-        log.absorb(worker_log);
-    }
-
-    // Correctness: every served digest against the sequential replay.
+    // Correctness: every served digest is checked against the sequential
+    // replay as it arrives; with each digest equal, so are the multisets.
     let reference = Reference::new(&corpora, args.seed)?;
-    let mut served = Vec::with_capacity(samples.len());
-    let mut expected = Vec::with_capacity(samples.len());
-    for s in &samples {
-        let event = &trace[s.event];
-        let want = reference.digest(event)?;
-        served.push(s.digest);
-        expected.push(want);
-        out.check(s.digest == want && s.all_good, || {
-            format!(
-                "{event:?}: served digest {} (all_good {}) != replay {want}",
-                s.digest, s.all_good
-            )
-        });
-    }
-    served.sort_unstable();
-    expected.sort_unstable();
-    out.check(served == expected, || {
-        "served digest multiset differs from the replay".into()
-    });
+    let expected = expected_digests(&reference, &trace)?;
 
-    let calls: Vec<f64> = samples.iter().map(|s| s.call_us).collect();
+    let segment_len = Duration::from_secs_f64(args.seconds as f64 / SEGMENTS as f64);
+    let mut samples = Vec::new();
+    let mut wall = 0.0;
+    // Cursor positions each segment started and ended at.
+    let mut ranges = Vec::with_capacity(SEGMENTS);
+    for segment in 0..SEGMENTS {
+        if segment > 0 {
+            drop(setup_once(&mut log, segment as u64)?);
+        }
+        let traced = args.trace && segment.is_multiple_of(2);
+        let base = match ranges.last() {
+            None => 0,
+            Some(&(start, _)) if !segment.is_multiple_of(2) => start,
+            Some(_) => ranges.iter().map(|&(_, end)| end).max().unwrap_or(0),
+        };
+        let cursor = AtomicUsize::new(base);
+        let start = Instant::now();
+        let deadline = start + segment_len;
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|_| {
+                    let (sessions, corpora, trace, expected, cursor) =
+                        (&sessions, &corpora, &trace, &expected, &cursor);
+                    let worker_log = SpanLog::new(traced, epoch);
+                    scope.spawn(move || {
+                        client(
+                            sessions, corpora, trace, expected, cursor, deadline, segment,
+                            worker_log,
+                        )
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread panicked"))
+                .collect()
+        });
+        wall += start.elapsed().as_secs_f64();
+        ranges.push((base, cursor.load(Ordering::Relaxed)));
+        for (s, errors, worker_log) in results {
+            out.attempted += s.len() as u64;
+            samples.extend(s);
+            for e in errors {
+                out.check(false, || e);
+            }
+            log.absorb(worker_log);
+        }
+    }
+
+    let calls: Vec<f64> = samples.iter().map(Sample::call_us).collect();
     out.set("setup_s", median(&setup_s));
     out.set("peak_rss_mib", vm_hwm_mib(None));
     out.set("p50_us", median(&calls));
     out.set("qps", samples.len() as f64 / wall);
     out.note(format!(
-        "churn-mix seed {}: {clients} client threads sharing one session per graph, {GRAPHS} random {SIZE}x{SIZE} graphs ({} nodes) of {ENTRIES} entries, {} queries in {wall:.2} s",
+        "churn-mix seed {}: {clients} client threads sharing one session per graph, {GRAPHS} random {SIZE}x{SIZE} graphs ({} nodes) of {ENTRIES} entries, {} queries in {SEGMENTS} segments of {:.2} s",
         args.seed,
         corpora[0].graph().node_count(),
-        samples.len()
+        samples.len(),
+        segment_len.as_secs_f64()
     ));
+    out.note(describe("setup_s", "s", &setup_s));
     out.note(describe("call_us", "us", &calls));
     let s = sorted(&calls);
     out.note(format!(
@@ -288,7 +332,7 @@ fn run_inner(args: &Args, out: &mut Outcome) -> Result<(), String> {
 
     if args.trace {
         per_layer(
-            &samples, &trace, &corpora, &sessions, &reference, &setups, &mut log, out,
+            &samples, &ranges, &trace, &corpora, &sessions, &reference, &setups, &mut log, out,
         );
         crate::tcp::probe(args.seed, &mut log, out);
         crate::finish_trace(&log, "churn-mix", args, out);
@@ -296,48 +340,11 @@ fn run_inner(args: &Args, out: &mut Outcome) -> Result<(), String> {
     Ok(())
 }
 
-/// The sequential in-process replay: fresh sessions serving each
-/// distinct (kind, entry) once through `serve_shared_full` — every
-/// query's value is a pure function of its kind and entry.
-struct Reference<'c> {
-    corpora: &'c [Corpus],
-    sessions: Vec<Session<'c>>,
-    values: std::cell::RefCell<HashMap<(usize, usize), (u64, QueryValue)>>,
-}
-
-impl<'c> Reference<'c> {
-    fn new(corpora: &'c [Corpus], seed: u64) -> Result<Self, String> {
-        Ok(Reference {
-            corpora,
-            sessions: sessions(corpora, seed)?,
-            values: Default::default(),
-        })
-    }
-
-    fn value(&self, event: &QueryEvent) -> Result<(u64, QueryValue), String> {
-        let key = (event.kind.index(), event.entry);
-        if let Some(v) = self.values.borrow().get(&key) {
-            return Ok(v.clone());
-        }
-        let (graph, local) = locate(event);
-        let (served, value) = self.sessions[graph]
-            .serve_shared_full(query_of(&self.corpora[graph], &local))
-            .map_err(|e| format!("replay of {event:?}: {e}"))?;
-        self.values
-            .borrow_mut()
-            .insert(key, (served.digest, value.clone()));
-        Ok((served.digest, value))
-    }
-
-    fn digest(&self, event: &QueryEvent) -> Result<u64, String> {
-        self.value(event).map(|(d, _)| d)
-    }
-}
-
 /// The traced run's layer costs.
 #[allow(clippy::too_many_arguments)]
 fn per_layer(
     samples: &[Sample],
+    ranges: &[(usize, usize)],
     trace: &[QueryEvent],
     corpora: &[Corpus],
     sessions: &[Session<'_>],
@@ -363,9 +370,9 @@ fn per_layer(
     let mut overhead = Vec::new();
     let mut rebuilt = (0usize, 0usize);
     for s in samples {
-        let event = &trace[s.event];
-        serve.entry(event.kind).or_default().push(s.serve_us);
-        overhead.push(s.call_us - s.serve_us);
+        let event = &trace[s.pos as usize % trace.len()];
+        serve.entry(event.kind).or_default().push(s.serve_us());
+        overhead.push(s.call_us() - s.serve_us());
         if let Ok((
             _,
             QueryValue::Repair {
@@ -408,19 +415,23 @@ fn per_layer(
         .get(&QueryKind::Construct)
         .map_or(&[][..], Vec::as_slice);
     out.set("core.construct_ms", median(construct) / 1e3);
-    let traced: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.event % 2 == 0)
-        .map(|s| s.call_us)
-        .collect();
-    let untraced: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.event % 2 == 1)
-        .map(|s| s.call_us)
-        .collect();
+    // The two segments of a pair start at the same cursor position, so
+    // the positions both reached were served once in each: the traced
+    // (even) and untraced (odd) calls over them are the same queries with
+    // and without spans.
+    let same = |traced: bool| -> Vec<f64> {
+        samples
+            .iter()
+            .filter(|s| {
+                let (own, other) = (ranges[s.segment as usize], ranges[s.segment as usize ^ 1]);
+                s.segment.is_multiple_of(2) == traced && (s.pos as usize) < own.1.min(other.1)
+            })
+            .map(Sample::call_us)
+            .collect()
+    };
     out.set(
         "trace.overhead_frac",
-        median(&traced) / median(&untraced) - 1.0,
+        median(&same(true)) / median(&same(false)) - 1.0,
     );
 
     // Direct probes: doubling attempts per entry, and MST phases.

@@ -19,6 +19,7 @@
 mod churn;
 mod design;
 mod pins;
+mod reference;
 mod report;
 mod sim;
 mod stats;
@@ -30,7 +31,10 @@ use std::process::ExitCode;
 use report::Outcome;
 use trace::SpanLog;
 
-/// How many times each workload sets up; `setup_s` is their median.
+/// How many times each workload sets up at the least; `setup_s` is the
+/// median. The set-ups are spread over the run, between its measured
+/// passes or segments, so that the median samples the host over the
+/// whole run rather than over one burst at its start.
 pub const SETUP_REPS: u64 = 9;
 
 /// Parsed command line.

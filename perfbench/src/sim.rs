@@ -9,11 +9,14 @@
 //! * a fault-on `verify` on grid 20×20 columns: 1% loss, latency 2, the
 //!   default `RetryPolicy`.
 //!
-//! The end-to-end unit of work is the pass. Checked facts: every verify
-//! is all-good, its `SimStats` repeat exactly on every pass (and match
-//! the pins for pinned seeds), the `Simulated` verdicts equal the
-//! centralized `Scheduled` ones, the fault run heals to the fault-free
-//! verdict, and the width-2 engine reproduces the width-1 statistics.
+//! The end-to-end unit of work is the pass. A timed set-up follows every
+//! pass, outside the pass time, so `setup_s` samples the whole run.
+//!
+//! Checked facts: every verify is all-good, its `SimStats` repeat exactly
+//! on every pass (and match the pins for pinned seeds), the `Simulated`
+//! verdicts equal the centralized `Scheduled` ones, the fault run heals
+//! to the fault-free verdict, and the width-2 engine reproduces the
+//! width-1 statistics.
 
 use std::time::{Duration, Instant};
 
@@ -327,30 +330,17 @@ pub fn run(args: &Args) -> Outcome {
     let epoch = Instant::now();
     let mut log = SpanLog::new(args.trace, epoch);
 
-    // Set-up, SETUP_REPS times; the last one's inputs are measured.
+    // The first set-up's inputs are measured. The sessions borrow the
+    // inputs, so they are built again here, outside the timed set-up.
     let mut setup_s = Vec::new();
     let mut setup_parts = Vec::new();
-    let mut kept = None;
-    for rep in 0..SETUP_REPS {
-        let t = Instant::now();
-        let mut times = SetupTimes::default();
-        let root = log.open("bench.setup", SpanId::NONE, rep);
-        let span = log.open("graph.generate", root, rep);
-        let inputs = generate(args.seed);
-        times.generate = ms(t.elapsed());
-        log.close(span);
-        if let Err(e) = prepare(&inputs, args.seed, &mut times, &mut log, root) {
+    let inputs = match setup_once(args.seed, &mut log, 0, &mut setup_s, &mut setup_parts) {
+        Ok(inputs) => inputs,
+        Err(e) => {
             out.check(false, || e);
             return out;
         }
-        setup_s.push(t.elapsed().as_secs_f64());
-        log.close(root);
-        setup_parts.push(times);
-        kept = Some(inputs);
-    }
-    // The sessions borrow the inputs, so the kept set-up's are rebuilt
-    // here, outside the timed set-ups.
-    let inputs = kept.expect("at least one set-up");
+    };
     let mut untimed = SetupTimes::default();
     let mut no_log = SpanLog::new(false, epoch);
     let prep = match prepare(&inputs, args.seed, &mut untimed, &mut no_log, SpanId::NONE) {
@@ -369,7 +359,8 @@ pub fn run(args: &Args) -> Outcome {
     let start = Instant::now();
     let budget = Duration::from_secs(args.seconds);
     let mut index = 0u64;
-    while (index as usize) < MIN_PASSES || start.elapsed() < budget {
+    let mut setup_wall = Duration::ZERO;
+    while (index as usize) < MIN_PASSES || start.elapsed() < budget + setup_wall {
         let traced = args.trace && index.is_multiple_of(2);
         let mut pass_log = if traced {
             log.fork()
@@ -400,8 +391,21 @@ pub fn run(args: &Args) -> Outcome {
             }),
         }
         index += 1;
+        // One more set-up after every pass, outside the pass time.
+        let t = Instant::now();
+        if let Err(e) = setup_once(args.seed, &mut log, index, &mut setup_s, &mut setup_parts) {
+            out.check(false, || e);
+        }
+        setup_wall += t.elapsed();
     }
-    let loop_s = start.elapsed().as_secs_f64();
+    let loop_s = (start.elapsed() - setup_wall).as_secs_f64();
+    while (setup_s.len() as u64) < SETUP_REPS {
+        let rep = setup_s.len() as u64;
+        if let Err(e) = setup_once(args.seed, &mut log, rep, &mut setup_s, &mut setup_parts) {
+            out.check(false, || e);
+            break;
+        }
+    }
     let facts = first.expect("at least one pass ran");
 
     check_pins(&facts, args.seed, &mut out);
@@ -421,6 +425,7 @@ pub fn run(args: &Args) -> Outcome {
         "sim-scale seed {}: {index} passes in {loop_s:.2} s",
         args.seed
     ));
+    out.note(describe("setup_s", "s", &setup_s));
     out.note(describe("pass_ms", "ms", &all_passes));
     out.note(describe("grid_verify_ms", "ms", &timings.grid));
     out.note(describe("random_verify_ms", "ms", &timings.random));
@@ -449,6 +454,31 @@ pub fn run(args: &Args) -> Outcome {
         out.set("trace.overhead_frac", traced / untraced - 1.0);
     }
     out
+}
+
+/// One timed set-up: generates the inputs of `seed` and prepares their
+/// sessions and shortcuts, recording the time in `setup_s` and its
+/// sub-phases in `parts`. Returns the inputs; the prepared sessions,
+/// which borrow them, are dropped.
+fn setup_once(
+    seed: u64,
+    log: &mut SpanLog,
+    rep: u64,
+    setup_s: &mut Vec<f64>,
+    parts: &mut Vec<SetupTimes>,
+) -> Result<Inputs, String> {
+    let t = Instant::now();
+    let mut times = SetupTimes::default();
+    let root = log.open("bench.setup", SpanId::NONE, rep);
+    let span = log.open("graph.generate", root, rep);
+    let inputs = generate(seed);
+    times.generate = ms(t.elapsed());
+    log.close(span);
+    drop(prepare(&inputs, seed, &mut times, log, root)?);
+    setup_s.push(t.elapsed().as_secs_f64());
+    log.close(root);
+    parts.push(times);
+    Ok(inputs)
 }
 
 /// Compares the pass facts with the pinned ones, when the seed is pinned.

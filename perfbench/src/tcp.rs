@@ -25,14 +25,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use lcs_api::graph::PartId;
-use lcs_api::{Pipeline, Threads};
+use lcs_api::Threads;
 use lcs_server::{ServerConfig, ServerHandle};
 use lcs_workload::{
-    generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryEvent, QueryKind, QueryMix,
-    WorkloadSpec,
+    generate_trace, Corpus, CorpusSpec, Family, Mode, QueryEvent, QueryKind, QueryMix, WorkloadSpec,
 };
 
 use crate::design::{tcp_load, TcpLoad};
+use crate::reference::Reference;
 use crate::report::Outcome;
 use crate::stats::{describe, median, quantile, sorted};
 use crate::trace::{SpanId, SpanLog};
@@ -592,7 +592,8 @@ fn probe_inner(seed: u64, log: &mut SpanLog, out: &mut Outcome) -> Result<(), St
     server.shutdown()?;
 
     // Correctness: every reply against the sequential in-process replay.
-    let reference = Reference::build(seed)?;
+    let corpus = [Corpus::build(&corpus_spec(seed)).map_err(|e| format!("Corpus::build: {e}"))?];
+    let reference = Reference::new(&corpus, seed)?;
     let mut served = Vec::new();
     let mut expected = Vec::new();
     for (phase, trace) in [
@@ -677,51 +678,16 @@ fn probe_inner(seed: u64, log: &mut SpanLog, out: &mut Outcome) -> Result<(), St
         "tcp probe trace generation p50 {:.3} ms",
         median(&trace_ms)
     ));
-    per_layer(&closed, &traces.closed, &reference, &load, log, out);
+    per_layer(
+        &closed,
+        &traces.closed,
+        &reference,
+        &corpus[0],
+        &load,
+        log,
+        out,
+    );
     Ok(())
-}
-
-/// The sequential in-process replay: one warm session configured like
-/// the server's, serving each distinct (kind, entry) once — every query's
-/// value is a pure function of its kind and entry, so the replay of a
-/// whole trace is this table applied to each request.
-struct Reference {
-    corpus: Corpus,
-    digests: std::cell::RefCell<HashMap<(usize, usize), u64>>,
-    seed: u64,
-}
-
-impl Reference {
-    fn build(seed: u64) -> Result<Reference, String> {
-        let corpus =
-            Corpus::build(&corpus_spec(seed)).map_err(|e| format!("Corpus::build: {e}"))?;
-        Ok(Reference {
-            corpus,
-            digests: Default::default(),
-            seed,
-        })
-    }
-
-    fn session(&self) -> Result<lcs_api::Session<'_>, String> {
-        Pipeline::on(self.corpus.graph())
-            .seed(self.seed)
-            .threads(Threads::Fixed(1))
-            .build()
-            .map_err(|e| format!("Pipeline::build: {e}"))
-    }
-
-    fn digest(&self, event: &QueryEvent) -> Result<u64, String> {
-        let key = (event.kind.index(), event.entry);
-        if let Some(&d) = self.digests.borrow().get(&key) {
-            return Ok(d);
-        }
-        let session = self.session()?;
-        let served = session
-            .serve_shared(query_of(&self.corpus, event))
-            .map_err(|e| format!("replay of {event:?}: {e}"))?;
-        self.digests.borrow_mut().insert(key, served.digest);
-        Ok(served.digest)
-    }
 }
 
 /// Repeats of each direct `core` probe.
@@ -731,7 +697,8 @@ const PROBE_REPS: usize = 50;
 fn per_layer(
     closed: &ConnResult,
     trace: &[QueryEvent],
-    reference: &Reference,
+    reference: &Reference<'_>,
+    corpus: &Corpus,
     load: &TcpLoad,
     log: &mut SpanLog,
     out: &mut Outcome,
@@ -779,7 +746,9 @@ fn per_layer(
     );
     let sum = weighted + quantile(&wire, 0.5);
     let ratio = sum / closed_p50;
-    out.set("trace.sum_ratio", ratio);
+    // The check aims at a ratio of 1 from either side, so the metric is
+    // the larger of the ratio and its inverse: 1 at best, lower is better.
+    out.set("trace.sum_ratio", ratio.max(1.0 / ratio));
     out.note(format!(
         "sum check: per-kind-weighted api.serve_us p50 {weighted:.2} us + server.wire_us p50 {:.2} us = {sum:.2} us against closed p50_us {closed_p50:.2} us: ratio {ratio:.3} ({} the ±{}% tolerance)",
         quantile(&wire, 0.5),
@@ -796,15 +765,12 @@ fn per_layer(
     ));
     // Direct probes of the layers under `serve_shared`, on a session
     // configured like the server's.
-    let session = match reference.session() {
-        Ok(s) => s,
-        Err(e) => return out.check(false, || e),
-    };
-    let graph = reference.corpus.graph();
+    let session = reference.session(0);
+    let graph = corpus.graph();
     let mut verify_us = Vec::new();
     let mut quality_ns = 0.0;
     let mut edge_visits = 0u64;
-    for (k, entry) in reference.corpus.entries().iter().enumerate() {
+    for (k, entry) in corpus.entries().iter().enumerate() {
         let mut quality_runs = Vec::new();
         for rep in 0..PROBE_REPS {
             let span = log.open("core.verify_sched", SpanId::NONE, rep as u64);
