@@ -5,7 +5,7 @@
 //! `record_run` helper, so a drift between the stats plane and the metrics
 //! plane is a bug this suite pins.
 
-use lcs_congest::{Incoming, NodeContext, NodeProtocol, Outgoing, SimConfig, Simulator};
+use lcs_congest::{FaultPlan, Incoming, NodeContext, NodeProtocol, Outgoing, SimConfig, Simulator};
 use lcs_graph::{generators, Graph};
 use lcs_obs::Obs;
 
@@ -81,9 +81,16 @@ fn run_recorded(
     graph: &Graph,
     threads: usize,
 ) -> (lcs_congest::SimStats, lcs_obs::MetricsSnapshot) {
+    run_recorded_with(SimConfig::for_graph(graph).with_threads(threads), graph)
+}
+
+/// [`run_recorded`] under an explicit configuration.
+fn run_recorded_with(
+    config: SimConfig,
+    graph: &Graph,
+) -> (lcs_congest::SimStats, lcs_obs::MetricsSnapshot) {
     let obs = Obs::recording();
-    let sim = Simulator::new(graph, SimConfig::for_graph(graph).with_threads(threads))
-        .with_recorder(obs.clone());
+    let sim = Simulator::new(graph, config).with_recorder(obs.clone());
     let outcome = sim
         .run(|ctx| Wave {
             id: ctx.node.index(),
@@ -158,4 +165,58 @@ fn counters_are_byte_identical_across_shard_counts() {
             assert_eq!(snap.counters_digest(), reference.counters_digest());
         }
     }
+}
+
+/// The exact metric names of a one-shard recording run, fault-free and
+/// faulty: the engine counters, the shard gauges of shard 0, and nothing
+/// else. Barrier waits, staging volumes and flush sizes exist only when
+/// shards run on worker threads, so the inline one-shard path must not
+/// report them.
+#[test]
+fn one_shard_runs_record_exactly_the_inline_metric_set() {
+    let names = |pairs: &[(String, u64)]| -> Vec<String> {
+        pairs.iter().map(|(name, _)| name.clone()).collect()
+    };
+    let graph = family_graph(0, 5, 0);
+    let engine_counters = [
+        "engine/bits",
+        "engine/messages",
+        "engine/polls",
+        "engine/rounds",
+        "engine/runs",
+    ];
+    let engine_gauges = [
+        "engine/max_message_bits",
+        "engine/shard/0/bits",
+        "engine/shard/0/messages",
+        "engine/shard/0/polls",
+        "engine/shards",
+    ];
+
+    let (_, snap) = run_recorded(&graph, 1);
+    assert_eq!(names(&snap.counters), engine_counters);
+    assert_eq!(names(&snap.gauges), engine_gauges);
+    assert!(snap.timers.is_empty(), "{:?}", snap.timers);
+    assert_eq!(snap.gauge("engine/shards"), Some(1));
+
+    let plan = FaultPlan::new(5).with_latency(1).with_loss_ppm(50_000);
+    let config = SimConfig::for_graph(&graph)
+        .with_threads(1)
+        .with_fault(plan);
+    let (_, snap) = run_recorded_with(config, &graph);
+    let mut counters: Vec<&str> = engine_counters.to_vec();
+    counters.extend([
+        "fault/crash_drops",
+        "fault/delays",
+        "fault/drops",
+        "fault/dups",
+        "fault/restarts",
+    ]);
+    counters.sort_unstable();
+    let mut gauges: Vec<&str> = engine_gauges.to_vec();
+    gauges.push("fault/queue_depth");
+    gauges.sort_unstable();
+    assert_eq!(names(&snap.counters), counters);
+    assert_eq!(names(&snap.gauges), gauges);
+    assert!(snap.timers.is_empty(), "{:?}", snap.timers);
 }
