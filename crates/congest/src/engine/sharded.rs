@@ -1,5 +1,6 @@
-//! The sharded round engine: the serial loop partitioned over `S`
-//! contiguous node shards, one `std::thread::scope` worker per shard.
+//! The round engine: the synchronous round loop over `S` contiguous node
+//! shards. One shard runs inline on the caller's thread; more shards run
+//! on one `std::thread::scope` worker each.
 //!
 //! # Shard layout
 //!
@@ -23,25 +24,32 @@
 //! sender-side stamp guarantees it), and recipients' worklists are sorted
 //! before polling, so the drain order — the only thing scheduling can vary
 //! — is unobservable. This is what makes `SimStats`, traces, states, and
-//! errors byte-identical to the serial engine for every shard count.
+//! errors byte-identical for every shard count. A single shard owns every
+//! recipient, so it never stages anything.
 //!
 //! # Round protocol
 //!
-//! Workers and the coordinating thread advance in lockstep through two
-//! barriers per phase: phase 0 is `init`, phase `r ≥ 1` is round `r`.
-//! Between the end barrier of phase `r` and the start barrier of phase
-//! `r + 1` only the coordinator runs: it gathers the per-shard trace
-//! contributions, detects quiescence (no worklist, no timer, no staged
-//! message anywhere), enforces the round cap, and surfaces the
-//! lowest-shard error of the earliest failing round — exactly the failure
-//! the serial engine reports first.
+//! Phase 0 is `init`, phase `r ≥ 1` is round `r`. After every phase one
+//! function, [`after_phase`], decides what happens next: it records the
+//! round's trace entry, then stops on a shard failure or on quiescence (no
+//! worklist, no timer, no queued or staged message anywhere), fails at the
+//! round cap, or starts the next phase.
+//!
+//! At one shard the caller's thread runs the phases and makes that
+//! decision itself: no scope, no barrier, no panic catching, no staging
+//! flush. With more shards, workers and the coordinating thread advance in
+//! lockstep through two barriers per phase; between the end barrier of
+//! phase `r` and the start barrier of phase `r + 1` only the coordinator
+//! runs. It gathers the per-shard trace contributions and pending flags,
+//! makes the same decision, and the lowest-shard error of the earliest
+//! failing round is reported — the node a one-shard run fails on first.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use lcs_graph::{Graph, ShardMap};
+use lcs_graph::{Graph, NodeId, ShardMap};
 use lcs_obs::{LatencyHistogram, Obs, SpanBuffer};
 
 use crate::fault::{Delayed, FaultCounters, FaultState};
@@ -50,53 +58,16 @@ use crate::{
     SimOutcome, SimStats,
 };
 
-use super::{build_contexts, record_run, serial, RoundEngine, Topology};
+use super::{build_contexts, record_run, Topology};
 
-/// The sharded engine: `threads` workers, one contiguous node shard each.
-pub(crate) struct ShardedEngine {
-    pub(crate) threads: usize,
-}
-
-impl RoundEngine for ShardedEngine {
-    fn shard_count(&self) -> usize {
-        self.threads
-    }
-
-    fn run<P, F>(
-        &self,
-        graph: &Graph,
-        config: &SimConfig,
-        obs: &Obs,
-        factory: F,
-    ) -> crate::Result<SimOutcome<P>>
-    where
-        P: NodeProtocol + Send,
-        P::Message: Send,
-        F: FnMut(&NodeContext) -> P,
-    {
-        let shards = self.threads.min(graph.node_count().max(1));
-        if shards <= 1 {
-            return serial::run_protocol(graph, config, obs, factory);
-        }
-        run_sharded(graph, config, obs, factory, shards)
-    }
-}
-
-/// A message crossing a shard boundary: the recipient-side slot, the
-/// recipient's node id, and the already-validated payload.
-struct Staged<M> {
-    slot: u32,
-    to: u32,
-    /// Validated size of `msg` in bits. Kept at full width: truncating here
-    /// would let a pathological bandwidth configuration desynchronize the
-    /// sharded trace's bit counts from the serial engine's.
-    bits: u64,
-    /// Fault-mode delivery metadata: the round the copy becomes due and the
-    /// round it was posted. Both are 0 in fault-free runs, where delivery
-    /// is always "next round" and these fields are ignored.
-    due: u64,
-    posted: u64,
-    msg: M,
+/// The read-only inputs every phase of every shard consults.
+struct Env<'a> {
+    config: &'a SimConfig,
+    topo: &'a Topology,
+    map: &'a ShardMap,
+    /// The run's fault schedule; `None` exactly when no plan is active.
+    fault: Option<&'a FaultState>,
+    contexts: &'a [NodeContext<'a>],
 }
 
 /// State the coordinator and the workers exchange at the barriers.
@@ -119,8 +90,10 @@ struct Shared<M> {
     /// phase `r + 1`, so writers use parity `(r + 1) % 2` while readers of
     /// phase `r` drain parity `r % 2` — the two phases never touch the
     /// same buffer, which is what keeps a fast shard's round-`r` sends from
-    /// leaking into a slower shard's round-`r` deliveries.
-    inboxes: [Vec<Mutex<Vec<Staged<M>>>>; 2],
+    /// leaking into a slower shard's round-`r` deliveries. A staged copy
+    /// carries its delivery key; fault-free copies leave `due` and
+    /// `posted` at 0 (they are always due next round).
+    inboxes: [Vec<Mutex<Vec<Delayed<M>>>>; 2],
 }
 
 /// The fault-mode extension of one shard: its slice of the delivery queue
@@ -162,7 +135,7 @@ struct Shard<P: NodeProtocol> {
     worklist_next: Vec<u32>,
     wakes: BinaryHeap<Reverse<(u64, u32)>>,
     /// Outbound staging, one buffer per destination shard.
-    staging: Vec<Vec<Staged<P::Message>>>,
+    staging: Vec<Vec<Delayed<P::Message>>>,
     in_flight_next: u64,
     bits_next: u64,
     last_delivered: u64,
@@ -171,16 +144,16 @@ struct Shard<P: NodeProtocol> {
     /// Active-node polls (worklist entries processed), accumulated locally
     /// like `stats` and folded into the obs counters in shard order.
     polls: u64,
-    /// Probe state, all local to this shard's worker: whether probes are
-    /// live at all (recording off ⇒ the hot path takes no clock reads and
-    /// allocates no histogram), barrier-wait nanoseconds, and the size of
-    /// every cross-shard staging flush.
+    /// Probe state of a threaded run, all local to this shard's worker:
+    /// whether probes are live at all (recording off, or one inline
+    /// shard ⇒ no clock reads and no histogram), barrier-wait nanoseconds,
+    /// and the size of every cross-shard staging flush.
     probe_on: bool,
     barrier_nanos: u64,
     flush_sizes: Option<LatencyHistogram>,
     error: Option<SimError>,
-    /// A panic payload caught from protocol code (re-raised by the
-    /// coordinator after the fleet stops — `Barrier` has no poisoning, so
+    /// A panic payload caught from protocol code on a worker (re-raised by
+    /// the caller after the fleet stops — `Barrier` has no poisoning, so
     /// letting a worker unwind through a barrier would deadlock the rest).
     panic: Option<Box<dyn std::any::Any + Send>>,
     scratch: Vec<Incoming<P::Message>>,
@@ -189,6 +162,13 @@ struct Shard<P: NodeProtocol> {
 }
 
 impl<P: NodeProtocol> Shard<P> {
+    /// Whether `node` lives in this shard.
+    #[inline]
+    fn owns(&self, node: usize) -> bool {
+        node.wrapping_sub(self.node_lo) < self.nodes.len()
+    }
+
+    #[inline]
     fn queue_local(&mut self, node: usize) {
         let local = node - self.node_lo;
         if !self.queued[local] {
@@ -197,21 +177,35 @@ impl<P: NodeProtocol> Shard<P> {
         }
     }
 
-    fn post(
+    /// Whether this shard has anything left to do: a node to poll, a timer
+    /// to fire, or a delayed copy to deliver.
+    fn pending(&self) -> bool {
+        !self.worklist_next.is_empty()
+            || !self.wakes.is_empty()
+            || self.fault.as_ref().is_some_and(|f| !f.heap.is_empty())
+    }
+
+    /// The checks and send accounting every post makes, with or without
+    /// faults: the recipient must be a neighbour, the directed edge unused
+    /// this round, and the message within the bandwidth. Returns the
+    /// edge's position in the sender's adjacency, its recipient-side slot,
+    /// and the message size in bits.
+    #[inline]
+    fn accept(
         &mut self,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
+        env: &Env<'_>,
         ctx: &NodeContext<'_>,
-        out: Outgoing<P::Message>,
+        out: &Outgoing<P::Message>,
         round: u64,
-    ) -> crate::Result<()> {
+    ) -> crate::Result<(usize, u32, usize)> {
         let pos = ctx.position_of(out.to).ok_or(SimError::NotANeighbor {
             from: ctx.node,
             to: out.to,
         })?;
-        let gpos = topo.offset[ctx.node.index()] as usize + pos;
+        let gpos = env.topo.offset[ctx.node.index()] as usize + pos;
         let lpos = gpos - self.slot_lo;
+        // Posting rounds strictly increase, so one stamp array covers both
+        // buffers: an equal stamp can only mean "already sent this round".
         if self.stamp[lpos] == round {
             return Err(SimError::DuplicateSend {
                 from: ctx.node,
@@ -221,40 +215,66 @@ impl<P: NodeProtocol> Shard<P> {
         }
         self.stamp[lpos] = round;
         let bits = out.msg.size_bits();
-        if bits > config.bandwidth_bits {
+        if bits > env.config.bandwidth_bits {
             return Err(SimError::BandwidthExceeded {
                 from: ctx.node,
                 to: out.to,
                 message_bits: bits,
-                bandwidth_bits: config.bandwidth_bits,
+                bandwidth_bits: env.config.bandwidth_bits,
             });
         }
+        // Under faults `stats.messages` counts *sends*; deliveries (which
+        // loss shrinks and duplication grows) are what the trace counts.
         self.stats.messages += 1;
         self.stats.total_bits += bits as u64;
         self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-        let slot = topo.mirror[gpos];
-        let dst = map.shard_of(out.to);
-        if dst == self.id {
-            self.next[slot as usize - self.slot_lo] = Some(out.msg);
-            self.inbox_next[out.to.index() - self.node_lo] += 1;
-            self.in_flight_next += 1;
-            self.bits_next += bits as u64;
-            self.queue_local(out.to.index());
+        Ok((pos, env.topo.mirror[gpos], bits))
+    }
+
+    /// Validates one outgoing message and enqueues it for the next round:
+    /// straight into the mailbox for a local recipient, into the staging
+    /// buffer of the recipient's shard otherwise.
+    #[inline]
+    fn post(
+        &mut self,
+        env: &Env<'_>,
+        ctx: &NodeContext<'_>,
+        out: Outgoing<P::Message>,
+        round: u64,
+    ) -> crate::Result<()> {
+        let (_, slot, bits) = self.accept(env, ctx, &out, round)?;
+        let to = out.to.index();
+        if self.owns(to) {
+            self.deliver_next(slot, to, bits as u64, out.msg);
         } else {
-            self.staging[dst].push(Staged {
-                slot,
-                to: out.to.index() as u32,
-                bits: bits as u64,
-                due: 0,
-                posted: 0,
-                msg: out.msg,
-            });
+            self.stage(
+                env,
+                Delayed {
+                    due: 0,
+                    slot,
+                    posted: 0,
+                    to: to as u32,
+                    bits: bits as u64,
+                    msg: out.msg,
+                },
+            );
         }
         Ok(())
     }
 
+    /// Appends a copy for a node of another shard to that shard's staging
+    /// buffer. Kept out of line: at one shard it never runs, and threaded
+    /// it is the minority of posts.
+    #[cold]
+    #[inline(never)]
+    fn stage(&mut self, env: &Env<'_>, copy: Delayed<P::Message>) {
+        self.staging[env.map.shard_of(NodeId::new(copy.to as usize))].push(copy);
+    }
+
     /// Drains this shard's inbound queue (messages staged by other shards
-    /// in the previous phase) into the next-round mailbox.
+    /// in the previous phase): into the next-round mailbox, or in fault
+    /// mode into the delivery heap (their due rounds are still in the
+    /// future, so ordering is preserved).
     fn merge_inbound(&mut self, phase: u64, shared: &Shared<P::Message>) {
         let staged = {
             let mut inbox = shared.inboxes[(phase % 2) as usize][self.id]
@@ -263,12 +283,23 @@ impl<P: NodeProtocol> Shard<P> {
             std::mem::take(&mut *inbox)
         };
         for st in staged {
-            self.next[st.slot as usize - self.slot_lo] = Some(st.msg);
-            self.inbox_next[st.to as usize - self.node_lo] += 1;
-            self.in_flight_next += 1;
-            self.bits_next += st.bits;
-            self.queue_local(st.to as usize);
+            if let Some(fault) = self.fault.as_mut() {
+                fault.heap.push(Reverse(st));
+                continue;
+            }
+            self.deliver_next(st.slot, st.to as usize, st.bits, st.msg);
         }
+    }
+
+    /// Puts a validated message for the local node `to` into the
+    /// next-round mailbox and schedules `to`.
+    #[inline]
+    fn deliver_next(&mut self, slot: u32, to: usize, bits: u64, msg: P::Message) {
+        self.next[slot as usize - self.slot_lo] = Some(msg);
+        self.inbox_next[to - self.node_lo] += 1;
+        self.in_flight_next += 1;
+        self.bits_next += bits;
+        self.queue_local(to);
     }
 
     /// Flushes the outbound staging buffers into the destinations' inbound
@@ -303,6 +334,8 @@ impl<P: NodeProtocol> Shard<P> {
         self.bits_next = 0;
     }
 
+    /// Moves node `idx`'s pending messages into `scratch` (cleared first).
+    #[inline]
     fn drain_into(&mut self, idx: usize, topo: &Topology, ctx: &NodeContext<'_>) {
         self.scratch.clear();
         let local = idx - self.node_lo;
@@ -325,45 +358,67 @@ impl<P: NodeProtocol> Shard<P> {
         self.inbox_cur[local] = 0;
     }
 
+    /// Executes phase `phase` of this shard (0 = `init`, else that round).
+    fn run_phase(&mut self, phase: u64, env: &Env<'_>) {
+        match (env.fault, phase) {
+            (None, 0) => self.run_init(env),
+            (None, round) => self.run_round(round, env),
+            (Some(fs), 0) => self.run_init_faulty(env, fs),
+            (Some(fs), round) => self.run_round_faulty(round, env, fs),
+        }
+    }
+
+    /// Runs every phase on the caller's thread until [`after_phase`] stops
+    /// the run; returns the last phase executed.
+    fn run_inline(&mut self, env: &Env<'_>, trace: &mut Vec<RoundTrace>) -> crate::Result<u64> {
+        let mut phase = 0;
+        loop {
+            self.run_phase(phase, env);
+            let traffic = (self.last_delivered, self.last_bits);
+            if !after_phase(
+                phase,
+                env.config,
+                self.error.is_some(),
+                self.pending(),
+                traffic,
+                trace,
+            )? {
+                return Ok(phase);
+            }
+            phase += 1;
+        }
+    }
+
     /// Phase 0: `init` every node of the shard, in node order.
-    fn run_init(
-        &mut self,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
-        contexts: &[NodeContext<'_>],
-    ) {
+    fn run_init(&mut self, env: &Env<'_>) {
         for local in 0..self.nodes.len() {
             let idx = self.node_lo + local;
-            let ctx = &contexts[idx];
+            let ctx = &env.contexts[idx];
             let outgoing = self.nodes[local].init(ctx);
             for out in outgoing {
-                if let Err(err) = self.post(config, topo, map, ctx, out, 0) {
+                if let Err(err) = self.post(env, ctx, out, 0) {
                     self.error = Some(err);
                     return;
                 }
             }
             if !self.nodes[local].is_done() {
-                match self.nodes[local].next_wake(0) {
-                    Some(r) if r > 1 => self.wakes.push(Reverse((r, idx as u32))),
-                    _ => self.queue_local(idx),
-                }
+                self.wake(idx, 0);
             }
         }
     }
 
-    /// Phase `round ≥ 1`: merge inbound mail, pop due timers, flip buffers,
-    /// poll the worklist.
-    fn run_round(
-        &mut self,
-        round: u64,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
-        contexts: &[NodeContext<'_>],
-        shared: &Shared<P::Message>,
-    ) {
-        self.merge_inbound(round, shared);
+    /// Schedules a node that reported pending work after polling in
+    /// `round`: at its requested wake round, or next round.
+    #[inline]
+    fn wake(&mut self, idx: usize, round: u64) {
+        match self.nodes[idx - self.node_lo].next_wake(round) {
+            Some(r) if r > round + 1 => self.wakes.push(Reverse((r, idx as u32))),
+            _ => self.queue_local(idx),
+        }
+    }
+
+    /// Moves every timer due by `round` onto the worklist.
+    fn pop_due_wakes(&mut self, round: u64) {
         while let Some(&Reverse((due, idx))) = self.wakes.peek() {
             if due > round {
                 break;
@@ -371,79 +426,50 @@ impl<P: NodeProtocol> Shard<P> {
             self.wakes.pop();
             self.queue_local(idx as usize);
         }
+    }
+
+    /// Phase `round ≥ 1`: pop due timers, flip buffers, poll the worklist.
+    fn run_round(&mut self, round: u64, env: &Env<'_>) {
+        self.pop_due_wakes(round);
         self.begin_round();
         let worklist = std::mem::take(&mut self.worklist_cur);
         self.polls += worklist.len() as u64;
         'nodes: for &vi in &worklist {
             let idx = vi as usize;
             let local = idx - self.node_lo;
-            let ctx = &contexts[idx];
-            self.drain_into(idx, topo, ctx);
-            let scratch = std::mem::take(&mut self.scratch);
-            let outgoing = self.nodes[local].on_round(ctx, round, &scratch);
-            self.scratch = scratch;
+            let ctx = &env.contexts[idx];
+            self.drain_into(idx, env.topo, ctx);
+            let outgoing = self.nodes[local].on_round(ctx, round, &self.scratch);
             for out in outgoing {
-                if let Err(err) = self.post(config, topo, map, ctx, out, round) {
+                if let Err(err) = self.post(env, ctx, out, round) {
                     self.error = Some(err);
                     break 'nodes;
                 }
             }
             if !self.nodes[local].is_done() {
-                match self.nodes[local].next_wake(round) {
-                    Some(r) if r > round + 1 => self.wakes.push(Reverse((r, idx as u32))),
-                    _ => self.queue_local(idx),
-                }
+                self.wake(idx, round);
             }
         }
         self.worklist_cur = worklist;
     }
 
-    /// Fault-mode post: identical validation and send accounting to
-    /// [`Shard::post`], then the same loss/delay/duplication schedule as
-    /// the serial engine — every draw is keyed by the recipient-side slot
-    /// and the round, never by which shard executes it. A local recipient's
-    /// copy goes straight into this shard's delivery heap; a remote one is
-    /// staged with its `(due, posted)` key and lands in the destination
-    /// shard's heap at the next merge (cross-shard copies are due no
-    /// earlier than `round + 1`, so the merge never arrives late).
-    #[allow(clippy::too_many_arguments)]
+    /// Fault-mode post: the same checks and send accounting as
+    /// [`Shard::post`], then the loss/delay/duplication schedule — every
+    /// draw is keyed by the recipient-side slot and the round, never by
+    /// which shard executes it. A local recipient's copy goes straight into
+    /// this shard's delivery heap; a remote one is staged with its
+    /// `(due, posted)` key and lands in the destination shard's heap at the
+    /// next merge (cross-shard copies are due no earlier than `round + 1`,
+    /// so the merge never arrives late).
     fn post_faulty(
         &mut self,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
+        env: &Env<'_>,
         fs: &FaultState,
         ctx: &NodeContext<'_>,
         out: Outgoing<P::Message>,
         round: u64,
     ) -> crate::Result<()> {
-        let pos = ctx.position_of(out.to).ok_or(SimError::NotANeighbor {
-            from: ctx.node,
-            to: out.to,
-        })?;
-        let gpos = topo.offset[ctx.node.index()] as usize + pos;
-        let lpos = gpos - self.slot_lo;
-        if self.stamp[lpos] == round {
-            return Err(SimError::DuplicateSend {
-                from: ctx.node,
-                to: out.to,
-                round,
-            });
-        }
-        self.stamp[lpos] = round;
-        let bits = out.msg.size_bits();
-        if bits > config.bandwidth_bits {
-            return Err(SimError::BandwidthExceeded {
-                from: ctx.node,
-                to: out.to,
-                message_bits: bits,
-                bandwidth_bits: config.bandwidth_bits,
-            });
-        }
-        self.stats.messages += 1;
-        self.stats.total_bits += bits as u64;
-        self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-        let slot = topo.mirror[gpos];
+        let (pos, slot, bits) = self.accept(env, ctx, &out, round)?;
         let fault = self.fault.as_mut().expect("fault mode is on");
         if fs.lose(u64::from(slot), round) {
             fault.counters.drops += 1;
@@ -459,159 +485,97 @@ impl<P: NodeProtocol> Shard<P> {
         if dup {
             fault.counters.dups += 1;
         }
-        let dst = map.shard_of(out.to);
-        if dst == self.id {
-            if dup {
-                fault.heap.push(Reverse(Delayed {
-                    due: fs.next_poll(to, due + 1),
-                    slot,
-                    posted: round,
-                    to: to as u32,
-                    bits: bits as u64,
-                    msg: out.msg.clone(),
-                }));
-            }
-            fault.heap.push(Reverse(Delayed {
-                due,
-                slot,
-                posted: round,
-                to: to as u32,
-                bits: bits as u64,
-                msg: out.msg,
-            }));
-        } else {
-            if dup {
-                self.staging[dst].push(Staged {
-                    slot,
-                    to: to as u32,
-                    bits: bits as u64,
-                    due: fs.next_poll(to, due + 1),
-                    posted: round,
-                    msg: out.msg.clone(),
-                });
-            }
-            self.staging[dst].push(Staged {
-                slot,
-                to: to as u32,
-                bits: bits as u64,
-                due,
-                posted: round,
-                msg: out.msg,
-            });
+        let copy = |due: u64, msg: P::Message| Delayed {
+            due,
+            slot,
+            posted: round,
+            to: to as u32,
+            bits: bits as u64,
+            msg,
+        };
+        if dup {
+            self.enqueue(env, copy(fs.next_poll(to, due + 1), out.msg.clone()));
         }
+        self.enqueue(env, copy(due, out.msg));
         Ok(())
     }
 
-    /// Fault-mode inbound merge: staged cross-shard copies join this
-    /// shard's delivery heap (their due rounds are still in the future, so
-    /// ordering is preserved).
-    fn merge_inbound_faulty(&mut self, phase: u64, shared: &Shared<P::Message>) {
-        let staged = {
-            let mut inbox = shared.inboxes[(phase % 2) as usize][self.id]
-                .lock()
-                .expect("no worker panics while holding an inbox lock");
-            std::mem::take(&mut *inbox)
+    /// Queues a delayed copy: into this shard's delivery heap when the
+    /// recipient is local, staged for the recipient's shard otherwise.
+    fn enqueue(&mut self, env: &Env<'_>, copy: Delayed<P::Message>) {
+        let to = copy.to as usize;
+        if self.owns(to) {
+            let fault = self.fault.as_mut().expect("fault mode is on");
+            fault.heap.push(Reverse(copy));
+        } else {
+            self.stage(env, copy);
+        }
+    }
+
+    /// Schedules a node that reported pending work after polling in
+    /// `round`, through its poll schedule: stragglers can only be polled on
+    /// their poll rounds, so the effective wake round is the first poll
+    /// round at or after the requested one (a late wake is exactly the
+    /// straggler fault; the protocol layer budgets for it).
+    fn wake_faulty(&mut self, fs: &FaultState, idx: usize, round: u64) {
+        let target = match self.nodes[idx - self.node_lo].next_wake(round) {
+            Some(r) => r.max(round + 1),
+            None => round + 1,
         };
-        let fault = self.fault.as_mut().expect("fault mode is on");
-        for st in staged {
-            fault.heap.push(Reverse(Delayed {
-                due: st.due,
-                slot: st.slot,
-                posted: st.posted,
-                to: st.to,
-                bits: st.bits,
-                msg: st.msg,
-            }));
+        let due = fs.next_poll(idx, target);
+        if due > round + 1 {
+            self.wakes.push(Reverse((due, idx as u32)));
+        } else {
+            self.queue_local(idx);
         }
     }
 
     /// Fault-mode phase 0: `init` every non-crashed node of the shard in
     /// node order, schedule wakes through each node's poll schedule, and
     /// arm the restart timers for this shard's crash nodes.
-    fn run_init_faulty(
-        &mut self,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
-        fs: &FaultState,
-        contexts: &[NodeContext<'_>],
-    ) {
+    fn run_init_faulty(&mut self, env: &Env<'_>, fs: &FaultState) {
         for local in 0..self.nodes.len() {
             let idx = self.node_lo + local;
             if fs.crashed_at(idx, 0) {
                 continue;
             }
-            let ctx = &contexts[idx];
+            let ctx = &env.contexts[idx];
             let outgoing = self.nodes[local].init(ctx);
             for out in outgoing {
-                if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, 0) {
+                if let Err(err) = self.post_faulty(env, fs, ctx, out, 0) {
                     self.error = Some(err);
                     return;
                 }
             }
             if !self.nodes[local].is_done() {
-                let target = match self.nodes[local].next_wake(0) {
-                    Some(r) => r.max(1),
-                    None => 1,
-                };
-                let due = fs.next_poll(idx, target);
-                if due > 1 {
-                    self.wakes.push(Reverse((due, idx as u32)));
-                } else {
-                    self.queue_local(idx);
-                }
+                self.wake_faulty(fs, idx, 0);
             }
         }
         if let Some(r) = fs.restart_local_round() {
             for &v in fs.crash_nodes() {
-                let idx = v as usize;
-                if idx >= self.node_lo && idx < self.node_lo + self.nodes.len() {
+                if self.owns(v as usize) {
                     self.wakes.push(Reverse((r, v)));
                 }
             }
         }
     }
 
-    /// Fault-mode phase `round ≥ 1`: merge staged copies into the delivery
-    /// heap, pop due timers and due deliveries (dropping mail addressed to
-    /// currently-crashed nodes), flip worklists, then poll — skipping
-    /// crashed nodes and re-initializing restarting ones.
-    #[allow(clippy::too_many_arguments)]
-    fn run_round_faulty(
-        &mut self,
-        round: u64,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
-        fs: &FaultState,
-        contexts: &[NodeContext<'_>],
-        shared: &Shared<P::Message>,
-    ) {
-        self.merge_inbound_faulty(round, shared);
-        while let Some(&Reverse((due, idx))) = self.wakes.peek() {
-            if due > round {
-                break;
-            }
-            self.wakes.pop();
-            self.queue_local(idx as usize);
-        }
+    /// Fault-mode phase `round ≥ 1`: pop due timers and due deliveries
+    /// (dropping mail addressed to currently-crashed nodes), flip
+    /// worklists, then poll — skipping crashed nodes and re-initializing
+    /// restarting ones.
+    fn run_round_faulty(&mut self, round: u64, env: &Env<'_>, fs: &FaultState) {
+        self.pop_due_wakes(round);
         let mut delivered: u64 = 0;
         let mut bits: u64 = 0;
-        {
-            let fault = self.fault.as_mut().expect("fault mode is on");
-            fault.counters.queue_peak = fault.counters.queue_peak.max(fault.heap.len() as u64);
-        }
+        let fault = self.fault.as_mut().expect("fault mode is on");
+        fault.counters.queue_peak = fault.counters.queue_peak.max(fault.heap.len() as u64);
         loop {
             let fault = self.fault.as_mut().expect("fault mode is on");
-            let Some(Reverse(d)) = fault.heap.peek() else {
-                break;
-            };
-            if d.due > round {
+            if fault.heap.peek().is_none_or(|Reverse(d)| d.due > round) {
                 break;
             }
-            let Some(Reverse(d)) = fault.heap.pop() else {
-                break;
-            };
+            let Reverse(d) = fault.heap.pop().expect("peeked entry exists");
             debug_assert_eq!(d.due, round, "delivery rounds are never skipped");
             let to = d.to as usize;
             if fs.crashed_at(to, round) {
@@ -620,9 +584,9 @@ impl<P: NodeProtocol> Shard<P> {
             }
             delivered += 1;
             bits += d.bits;
-            let base = topo.offset[to] as usize;
+            let base = env.topo.offset[to] as usize;
             let k = d.slot as usize - base;
-            let ctx = &contexts[to];
+            let ctx = &env.contexts[to];
             fault.inboxes[to - self.node_lo].push(Incoming {
                 from: ctx.neighbor_ids()[k],
                 edge: ctx.incident_edge_ids()[k],
@@ -640,13 +604,17 @@ impl<P: NodeProtocol> Shard<P> {
         'nodes: for &vi in &worklist {
             let idx = vi as usize;
             let local = idx - self.node_lo;
+            let fault = self.fault.as_mut().expect("fault mode is on");
             if fs.crashed_at(idx, round) {
-                self.fault.as_mut().expect("fault mode is on").inboxes[local].clear();
+                fault.inboxes[local].clear();
                 continue;
             }
-            let ctx = &contexts[idx];
-            if restart_round == Some(round) && fs.is_crash_node(idx) {
-                let fault = self.fault.as_mut().expect("fault mode is on");
+            let ctx = &env.contexts[idx];
+            self.polls += 1;
+            let outgoing = if restart_round == Some(round) && fs.is_crash_node(idx) {
+                // Restart: swap in the cleared state and run its `init` at
+                // this round; whatever mail arrived alongside is lost with
+                // the old state.
                 if let Some(spare) = fault
                     .spares
                     .iter_mut()
@@ -657,55 +625,28 @@ impl<P: NodeProtocol> Shard<P> {
                     fault.counters.restarts += 1;
                 }
                 fault.inboxes[local].clear();
-                self.polls += 1;
-                let outgoing = self.nodes[local].init(ctx);
-                for out in outgoing {
-                    if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, round) {
-                        self.error = Some(err);
-                        break 'nodes;
-                    }
-                }
+                self.nodes[local].init(ctx)
             } else {
-                let fault = self.fault.as_mut().expect("fault mode is on");
-                let incoming = std::mem::take(&mut fault.inboxes[local]);
-                self.polls += 1;
-                let outgoing = self.nodes[local].on_round(ctx, round, &incoming);
-                let mut incoming = incoming;
-                incoming.clear();
-                self.fault.as_mut().expect("fault mode is on").inboxes[local] = incoming;
-                for out in outgoing {
-                    if let Err(err) = self.post_faulty(config, topo, map, fs, ctx, out, round) {
-                        self.error = Some(err);
-                        break 'nodes;
-                    }
+                let outgoing = self.nodes[local].on_round(ctx, round, &fault.inboxes[local]);
+                fault.inboxes[local].clear();
+                outgoing
+            };
+            for out in outgoing {
+                if let Err(err) = self.post_faulty(env, fs, ctx, out, round) {
+                    self.error = Some(err);
+                    break 'nodes;
                 }
             }
             if !self.nodes[local].is_done() {
-                let target = match self.nodes[local].next_wake(round) {
-                    Some(r) => r.max(round + 1),
-                    None => round + 1,
-                };
-                let due = fs.next_poll(idx, target);
-                if due > round + 1 {
-                    self.wakes.push(Reverse((due, idx as u32)));
-                } else {
-                    self.queue_local(idx);
-                }
+                self.wake_faulty(fs, idx, round);
             }
         }
         self.worklist_cur = worklist;
     }
 
-    /// The worker loop: execute phases until the coordinator says stop.
-    fn work(
-        &mut self,
-        config: &SimConfig,
-        topo: &Topology,
-        map: &ShardMap,
-        fs: Option<&FaultState>,
-        contexts: &[NodeContext<'_>],
-        shared: &Shared<P::Message>,
-    ) {
+    /// The worker loop of a threaded run: execute phases until the
+    /// coordinator says stop.
+    fn work(&mut self, env: &Env<'_>, shared: &Shared<P::Message>) {
         loop {
             self.wait_at_barrier(shared);
             if shared.stop.load(Ordering::SeqCst) {
@@ -716,31 +657,20 @@ impl<P: NodeProtocol> Shard<P> {
                 // Protocol code may panic (e.g. a protocol's own invariant
                 // assertions). Catch it so this worker keeps meeting the
                 // barriers; the coordinator stops the fleet and the payload
-                // is re-raised on the caller's thread, matching the serial
-                // engine's behavior. AssertUnwindSafe is sound because the
-                // whole run is abandoned: no state of this shard is
-                // observed afterwards.
+                // is re-raised on the caller's thread, exactly where an
+                // inline run would have let it propagate. AssertUnwindSafe
+                // is sound because the whole run is abandoned: no state of
+                // this shard is observed afterwards.
                 let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    match (fs, phase) {
-                        (None, 0) => self.run_init(config, topo, map, contexts),
-                        (None, _) => self.run_round(phase, config, topo, map, contexts, shared),
-                        (Some(fs), 0) => self.run_init_faulty(config, topo, map, fs, contexts),
-                        (Some(fs), _) => {
-                            self.run_round_faulty(phase, config, topo, map, fs, contexts, shared)
-                        }
-                    }
+                    self.merge_inbound(phase, shared);
+                    self.run_phase(phase, env);
                     self.flush_staging(phase, shared);
                 }));
                 if let Err(payload) = work {
                     self.panic = Some(payload);
                 }
             }
-            shared.active[self.id].store(
-                !self.worklist_next.is_empty()
-                    || !self.wakes.is_empty()
-                    || self.fault.as_ref().is_some_and(|f| !f.heap.is_empty()),
-                Ordering::SeqCst,
-            );
+            shared.active[self.id].store(self.pending(), Ordering::SeqCst);
             shared.delivered[self.id].store(self.last_delivered, Ordering::SeqCst);
             shared.bits[self.id].store(self.last_bits, Ordering::SeqCst);
             if self.error.is_some() || self.panic.is_some() {
@@ -764,12 +694,114 @@ impl<P: NodeProtocol> Shard<P> {
     }
 }
 
-fn run_sharded<P, F>(
+/// The decision made once every shard has finished `phase`, shared by the
+/// inline loop and the threaded coordinator: record the round's trace
+/// entry (`traffic` is its delivered messages and bits), then stop if a
+/// shard failed or nothing is pending anywhere, fail at the round cap, or
+/// go on. `Ok(true)` means "run phase + 1".
+fn after_phase(
+    phase: u64,
+    config: &SimConfig,
+    failed: bool,
+    pending: bool,
+    traffic: (u64, u64),
+    trace: &mut Vec<RoundTrace>,
+) -> crate::Result<bool> {
+    if phase > 0 && config.trace {
+        trace.push(RoundTrace {
+            round: phase,
+            messages: traffic.0,
+            bits: traffic.1,
+        });
+    }
+    if failed || !pending {
+        return Ok(false);
+    }
+    if phase >= config.max_rounds {
+        return Err(SimError::RoundLimitExceeded {
+            limit: config.max_rounds,
+        });
+    }
+    Ok(true)
+}
+
+/// Runs the shards on one scoped worker each, coordinated from this
+/// thread; returns the last phase executed.
+fn run_threaded<P>(
+    shards: &mut [Shard<P>],
+    env: &Env<'_>,
+    trace: &mut Vec<RoundTrace>,
+) -> crate::Result<u64>
+where
+    P: NodeProtocol + Send,
+    P::Message: Send,
+{
+    let shard_count = shards.len();
+    let shared: Shared<P::Message> = Shared {
+        barrier: Barrier::new(shard_count + 1),
+        phase: AtomicU64::new(0),
+        stop: AtomicBool::new(false),
+        any_error: AtomicBool::new(false),
+        active: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
+        delivered: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
+        bits: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
+        inboxes: [
+            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
+            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
+        ],
+    };
+
+    std::thread::scope(|scope| {
+        for shard in shards.iter_mut() {
+            let shared = &shared;
+            scope.spawn(move || shard.work(env, shared));
+        }
+
+        // The coordinator: decide between the end barrier of one phase and
+        // the start barrier of the next (workers are parked on the start
+        // barrier while this code runs).
+        loop {
+            shared.barrier.wait(); // workers begin the current phase
+            shared.barrier.wait(); // workers finished it
+            let phase = shared.phase.load(Ordering::SeqCst);
+            let sum = |counts: &[AtomicU64]| -> u64 {
+                counts.iter().map(|c| c.load(Ordering::SeqCst)).sum()
+            };
+            let pending = shared.active.iter().any(|a| a.load(Ordering::SeqCst))
+                || shared.inboxes.iter().flatten().any(|m| {
+                    !m.lock()
+                        .expect("no worker panics while holding an inbox lock")
+                        .is_empty()
+                });
+            match after_phase(
+                phase,
+                env.config,
+                shared.any_error.load(Ordering::SeqCst),
+                pending,
+                (sum(&shared.delivered), sum(&shared.bits)),
+                trace,
+            ) {
+                Ok(true) => shared.phase.store(phase + 1, Ordering::SeqCst),
+                verdict => {
+                    shared.stop.store(true, Ordering::SeqCst);
+                    shared.barrier.wait(); // release workers into the stop check
+                    return verdict.map(|_| phase);
+                }
+            }
+        }
+    })
+}
+
+/// Runs `factory`-built nodes to quiescence on `threads` contiguous node
+/// shards (capped at the node count), reporting probe data through `obs`
+/// (a no-op handle when recording is off). One shard runs inline on this
+/// thread.
+pub(crate) fn run<P, F>(
     graph: &Graph,
     config: &SimConfig,
     obs: &Obs,
+    threads: usize,
     mut factory: F,
-    shard_count: usize,
 ) -> crate::Result<SimOutcome<P>>
 where
     P: NodeProtocol + Send,
@@ -777,19 +809,20 @@ where
     F: FnMut(&NodeContext) -> P,
 {
     let topo = Topology::new(graph);
-    let map = ShardMap::by_volume(graph, shard_count);
+    let map = ShardMap::by_volume(graph, threads);
     let shard_count = map.shard_count();
+    let threaded = shard_count > 1;
     let contexts = build_contexts(graph);
-    // Factory calls happen on this thread, in node order — the same
-    // sequence the serial engine produces, so stateful factories (counters,
-    // RNG streams) observe identical call histories.
+    // Factory calls happen on this thread, in node order, for every shard
+    // count, so stateful factories (counters, RNG streams) observe
+    // identical call histories.
     let mut all_nodes: Vec<P> = contexts.iter().map(&mut factory).collect();
     let fault_state = config
         .active_fault()
         .map(|plan| FaultState::new(&plan, graph));
     // Spare states for restartable crash nodes, created in ascending node
-    // order after the main factory pass — the exact call sequence the
-    // serial engine makes, so stateful factories agree with it.
+    // order after the main factory pass (the same call sequence for every
+    // shard count).
     let mut spare_pool: Vec<(u32, Option<P>)> = match &fault_state {
         Some(fs) if fs.restart_local_round().is_some() => fs
             .crash_nodes()
@@ -799,10 +832,17 @@ where
         _ => Vec::new(),
     };
 
+    let probe_on = obs.is_on() && threaded;
     let mut shards: Vec<Shard<P>> = Vec::with_capacity(shard_count);
     for s in (0..shard_count).rev() {
         let range = map.range(s);
-        let nodes: Vec<P> = all_nodes.split_off(range.start);
+        // Shard 0 keeps the factory's allocation: a one-shard run moves the
+        // states in and out and never copies them.
+        let nodes: Vec<P> = if s == 0 {
+            std::mem::take(&mut all_nodes)
+        } else {
+            all_nodes.split_off(range.start)
+        };
         let fault = fault_state.as_ref().map(|_| {
             let split = spare_pool.partition_point(|(v, _)| (*v as usize) < range.start);
             ShardFault {
@@ -836,9 +876,9 @@ where
             last_bits: 0,
             stats: SimStats::default(),
             polls: 0,
-            probe_on: obs.is_on(),
+            probe_on,
             barrier_nanos: 0,
-            flush_sizes: obs.is_on().then(LatencyHistogram::new),
+            flush_sizes: probe_on.then(LatencyHistogram::new),
             error: None,
             panic: None,
             scratch: Vec::new(),
@@ -847,112 +887,43 @@ where
     }
     shards.reverse();
 
-    let shared: Shared<P::Message> = Shared {
-        barrier: Barrier::new(shard_count + 1),
-        phase: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        any_error: AtomicBool::new(false),
-        active: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
-        delivered: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-        bits: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-        inboxes: [
-            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
-            (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
-        ],
+    let env = Env {
+        config,
+        topo: &topo,
+        map: &map,
+        fault: fault_state.as_ref(),
+        contexts: &contexts,
+    };
+    let mut trace: Vec<RoundTrace> = Vec::new();
+    let rounds = if threaded {
+        run_threaded(&mut shards, &env, &mut trace)?
+    } else {
+        shards[0].run_inline(&env, &mut trace)?
     };
 
-    let mut rounds_executed: u64 = 0;
-    let mut trace: Vec<RoundTrace> = Vec::new();
-    let mut limit_error: Option<SimError> = None;
-
-    std::thread::scope(|scope| {
-        for shard in shards.iter_mut() {
-            let contexts = &contexts;
-            let topo = &topo;
-            let map = &map;
-            let shared = &shared;
-            let fs = fault_state.as_ref();
-            scope.spawn(move || shard.work(config, topo, map, fs, contexts, shared));
-        }
-
-        // The coordinator: decide between the end barrier of one phase and
-        // the start barrier of the next (workers are parked on the start
-        // barrier while this code runs).
-        loop {
-            shared.barrier.wait(); // workers begin the current phase
-            shared.barrier.wait(); // workers finished it
-            let phase = shared.phase.load(Ordering::SeqCst);
-            if phase > 0 {
-                rounds_executed = phase;
-                if config.trace {
-                    let messages: u64 = shared
-                        .delivered
-                        .iter()
-                        .map(|d| d.load(Ordering::SeqCst))
-                        .sum();
-                    let bits: u64 = shared.bits.iter().map(|b| b.load(Ordering::SeqCst)).sum();
-                    trace.push(RoundTrace {
-                        round: phase,
-                        messages,
-                        bits,
-                    });
-                }
-            }
-            if shared.any_error.load(Ordering::SeqCst) {
-                shared.stop.store(true, Ordering::SeqCst);
-            } else {
-                let queued_work = shared.active.iter().any(|a| a.load(Ordering::SeqCst))
-                    || shared.inboxes.iter().flatten().any(|m| {
-                        !m.lock()
-                            .expect("no worker panics while holding an inbox lock")
-                            .is_empty()
-                    });
-                if !queued_work {
-                    shared.stop.store(true, Ordering::SeqCst);
-                } else if phase >= config.max_rounds {
-                    limit_error = Some(SimError::RoundLimitExceeded {
-                        limit: config.max_rounds,
-                    });
-                    shared.stop.store(true, Ordering::SeqCst);
-                } else {
-                    shared.phase.store(phase + 1, Ordering::SeqCst);
-                }
-            }
-            if shared.stop.load(Ordering::SeqCst) {
-                shared.barrier.wait(); // release workers into the stop check
-                break;
-            }
-        }
-    });
-
-    // Shards are ordered by ascending node range, and the coordinator stops
-    // at the end of the earliest failing phase, so the first failure found
-    // here is the one the serial engine would have hit first. A caught
-    // protocol panic is re-raised on this thread, exactly as the serial
-    // engine would have let it propagate.
+    // Shards are ordered by ascending node range, and the run stops at the
+    // end of the earliest failing phase, so the first failure found here
+    // is the node a one-shard run fails on first. A protocol panic caught
+    // on a worker is re-raised on this thread.
     for shard in &mut shards {
         if let Some(payload) = shard.panic.take() {
             std::panic::resume_unwind(payload);
         }
-        if let Some(err) = shard.error.clone() {
+        if let Some(err) = shard.error.take() {
             return Err(err);
         }
     }
-    if let Some(err) = limit_error {
-        return Err(err);
-    }
 
     let mut stats = SimStats {
-        rounds: rounds_executed,
+        rounds,
         ..SimStats::default()
     };
-    let mut nodes: Vec<P> = Vec::with_capacity(graph.node_count());
-    // Per-thread probe buffers are merged here, after the scope ended, in
+    let mut nodes: Vec<P> = Vec::new();
+    // Per-shard probe data is merged here, after the run ended, in
     // ascending shard order — the deterministic phase-boundary merge the
-    // obs layer's contract asks for. Counters fold to the same totals as
-    // the serial engine; per-shard splits and barrier timings go to
+    // obs layer's contract asks for. Counters fold to the same totals for
+    // every shard count; per-shard splits and barrier timings go to
     // gauges/timers because they depend on the shard count.
-    let probe_on = obs.is_on();
     let mut polls_total: u64 = 0;
     let mut staged_total: u64 = 0;
     let mut fault_counters = FaultCounters::default();
@@ -961,7 +932,7 @@ where
         stats.messages += shard.stats.messages;
         stats.total_bits += shard.stats.total_bits;
         stats.max_message_bits = stats.max_message_bits.max(shard.stats.max_message_bits);
-        if probe_on {
+        if obs.is_on() {
             polls_total += shard.polls;
             obs.gauge_set(
                 &format!("engine/shard/{}/messages", shard.id),
@@ -972,8 +943,8 @@ where
                 shard.stats.total_bits,
             );
             obs.gauge_set(&format!("engine/shard/{}/polls", shard.id), shard.polls);
-            barrier_spans.record("engine/barrier_wait", shard.barrier_nanos);
             if let Some(sizes) = &shard.flush_sizes {
+                barrier_spans.record("engine/barrier_wait", shard.barrier_nanos);
                 staged_total += sizes.sum() as u64;
                 obs.timer_merge("engine/staging_flush_size", sizes);
             }
@@ -981,16 +952,24 @@ where
                 fault_counters.absorb(&f.counters);
             }
         }
-        nodes.extend(shard.nodes);
+        // Shard 0's vector has capacity for every node, so the later
+        // shards append without reallocating.
+        if shard.id == 0 {
+            nodes = shard.nodes;
+        } else {
+            nodes.extend(shard.nodes);
+        }
     }
-    if probe_on {
-        obs.merge_spans(&mut barrier_spans);
+    if obs.is_on() {
+        if probe_on {
+            obs.merge_spans(&mut barrier_spans);
+            obs.gauge_set("engine/staged_messages", staged_total);
+        }
         record_run(obs, &stats, polls_total);
         if fault_state.is_some() {
             fault_counters.record(obs);
         }
         obs.gauge_set("engine/shards", shard_count as u64);
-        obs.gauge_set("engine/staged_messages", staged_total);
     }
 
     Ok(SimOutcome {

@@ -1,13 +1,13 @@
-//! Deterministic fault injection for the round engines.
+//! Deterministic fault injection for the round engine.
 //!
 //! A [`FaultPlan`] is a small `Copy` description of a faulty network:
 //! per-edge extra latency, per-delivery loss and duplication
 //! probabilities, straggler nodes that only poll every `k`-th round, and
 //! a crash schedule. Every fault decision is a **pure function of the
 //! plan and of stable coordinates** (edge id, recipient-side slot, node
-//! id, global round number) — never of RNG call order — so the serial
-//! and sharded engines take byte-identical decisions regardless of how
-//! work is scheduled across threads. The draws go through the vendored
+//! id, global round number) — never of RNG call order — so every shard
+//! count takes byte-identical decisions regardless of how work is
+//! scheduled across threads. The draws go through the vendored
 //! `ChaCha8Rng`: one seeded generator per decision, keyed by
 //! `(seed, tag, coordinates)`.
 //!

@@ -14,21 +14,19 @@
 //! message or reported pending work — see [`NodeProtocol::is_done`] for the
 //! quiescence contract that makes skipping idle nodes semantics-preserving.
 //!
-//! # Engines
+//! # Shards
 //!
-//! The loop itself runs on a round engine selected by
-//! [`SimConfig::threads`]: the single-threaded reference engine, or a
-//! sharded engine that partitions the nodes into contiguous CSR ranges and
-//! executes them on `std::thread::scope` workers with a cross-shard staging
-//! merge at every round barrier. Both produce byte-identical statistics,
-//! traces, states, and errors — the shard count is a throughput knob, never
-//! a semantic one (see `engine` module docs for why this holds by
-//! construction).
+//! [`SimConfig::threads`] sets how many contiguous CSR node shards the loop
+//! runs over. One shard runs inline on the caller's thread; more shards
+//! run on `std::thread::scope` workers with a cross-shard staging merge at
+//! every round barrier. Every shard count produces byte-identical
+//! statistics, traces, states, and errors — the shard count is a
+//! throughput knob, never a semantic one (see the `engine` module docs for
+//! why this holds by construction).
 
 use lcs_graph::Graph;
 use lcs_obs::Obs;
 
-use crate::engine::{serial, sharded, EngineSelection, RoundEngine};
 use crate::{NodeContext, NodeProtocol};
 
 /// Configuration of a simulation run.
@@ -46,10 +44,10 @@ pub struct SimConfig {
     /// bit counts a protocol author needs when debugging a multi-phase
     /// protocol. Off by default because traces of long runs are large.
     pub trace: bool,
-    /// Worker-thread count of the round engine: `1` selects the serial
-    /// reference engine, `t > 1` the sharded engine with `t` shards (capped
-    /// at the node count). Results are byte-identical for every value —
-    /// this only chooses how the rounds execute. [`SimConfig::for_graph`]
+    /// Shard count of the round engine, capped at the node count: `1` runs
+    /// the round loop inline on the caller's thread, `t > 1` runs `t`
+    /// shards on one worker thread each. Results are byte-identical for
+    /// every value — this only chooses how the rounds execute. [`SimConfig::for_graph`]
     /// initializes it from the `LCS_THREADS` environment variable
     /// (default 1), so one variable switches every protocol in a process.
     pub threads: usize,
@@ -57,9 +55,9 @@ pub struct SimConfig {
     /// stragglers, crashes). `None` — or a plan with every knob at zero —
     /// selects the unmodified fault-free round loop; an active plan routes
     /// the run through a delivery queue layered over the edge-slot
-    /// mailboxes. Both engines inject identical faults (every decision is
-    /// a pure function of the plan), so determinism across thread counts
-    /// is preserved. See [`crate::FaultPlan`].
+    /// mailboxes. Every shard count injects identical faults (every
+    /// decision is a pure function of the plan), so determinism across
+    /// thread counts is preserved. See [`crate::FaultPlan`].
     pub fault: Option<crate::FaultPlan>,
 }
 
@@ -169,23 +167,23 @@ pub struct SimOutcome<P> {
 
 /// A synchronous CONGEST simulator bound to a graph.
 ///
-/// # Engine selection
+/// # Shard count
 ///
-/// [`Simulator::run`] executes on the engine selected by
-/// [`SimConfig::threads`] — serial for 1, sharded for more — and the choice
-/// is observable only through wall-clock time:
+/// [`Simulator::run`] executes on [`Simulator::shard_count`] node shards —
+/// inline on the caller's thread for 1, one worker thread per shard for
+/// more — and the choice is observable only through wall-clock time:
 ///
 /// ```
 /// use lcs_congest::{primitives::DistributedBfs, SimConfig, Simulator};
 /// use lcs_graph::{generators, NodeId};
 ///
 /// let graph = generators::grid(8, 8);
-/// let serial = Simulator::new(&graph, SimConfig::for_graph(&graph).with_threads(1));
+/// let inline = Simulator::new(&graph, SimConfig::for_graph(&graph).with_threads(1));
 /// let sharded = Simulator::new(&graph, SimConfig::for_graph(&graph).with_threads(4));
-/// assert_eq!(serial.shard_count(), 1);
+/// assert_eq!(inline.shard_count(), 1);
 /// assert_eq!(sharded.shard_count(), 4);
 ///
-/// let a = DistributedBfs::run(&serial, NodeId::new(0)).unwrap();
+/// let a = DistributedBfs::run(&inline, NodeId::new(0)).unwrap();
 /// let b = DistributedBfs::run(&sharded, NodeId::new(0)).unwrap();
 /// // Byte-identical statistics and results, on any machine, for any
 /// // thread count.
@@ -213,8 +211,8 @@ impl<'g> Simulator<'g> {
 
     /// Attaches an instrumentation handle: successful runs report engine
     /// counters (rounds, messages, bits, polls), per-shard gauges, and —
-    /// on the sharded engine — barrier-wait and staging-flush timers
-    /// through it. An off handle (the default) costs one branch per run.
+    /// when more than one shard runs on worker threads — barrier-wait and
+    /// staging-flush timers through it. An off handle (the default) costs one branch per run.
     pub fn with_recorder(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -235,42 +233,24 @@ impl<'g> Simulator<'g> {
         self.config
     }
 
-    /// The engine [`Simulator::run`] will execute on: serial when
-    /// [`SimConfig::threads`] is 1 (or the graph is smaller than two
-    /// shards), sharded otherwise.
-    pub fn engine(&self) -> EngineSelection {
-        let threads = self
-            .config
+    /// Number of node shards [`Simulator::run`] partitions this graph
+    /// into: [`SimConfig::threads`], capped at the node count (and at
+    /// least 1).
+    pub fn shard_count(&self) -> usize {
+        self.config
             .threads
             .max(1)
-            .min(self.graph.node_count().max(1));
-        if threads <= 1 {
-            EngineSelection::Serial
-        } else {
-            EngineSelection::Sharded { threads }
-        }
-    }
-
-    /// Number of node shards the selected engine partitions this graph
-    /// into: 1 for the serial engine, the worker count for the sharded one.
-    pub fn shard_count(&self) -> usize {
-        match self.engine() {
-            EngineSelection::Serial => serial::SerialEngine.shard_count(),
-            EngineSelection::Sharded { threads } => {
-                sharded::ShardedEngine { threads }.shard_count()
-            }
-        }
+            .min(self.graph.node_count().max(1))
     }
 
     /// Runs a protocol to quiescence: every node is instantiated via
     /// `factory`, `init` is called once, and rounds are executed until no
     /// node has pending work and no message is in flight.
     ///
-    /// Executes on the engine reported by [`Simulator::engine`]; the
-    /// statistics, trace, final states, and errors are identical for every
-    /// engine. Protocol states and messages must be `Send` so they can be
-    /// sharded across workers; a protocol that is not `Send` can still run
-    /// through [`Simulator::run_serial`].
+    /// Executes on [`Simulator::shard_count`] shards; the statistics,
+    /// trace, final states, and errors are identical for every shard
+    /// count. Protocol states and messages must be `Send` so they can be
+    /// sharded across workers.
     ///
     /// # Errors
     ///
@@ -283,29 +263,13 @@ impl<'g> Simulator<'g> {
         P::Message: Send,
         F: FnMut(&NodeContext) -> P,
     {
-        match self.engine() {
-            EngineSelection::Serial => {
-                serial::SerialEngine.run(self.graph, &self.config, &self.obs, factory)
-            }
-            EngineSelection::Sharded { threads } => {
-                sharded::ShardedEngine { threads }.run(self.graph, &self.config, &self.obs, factory)
-            }
-        }
-    }
-
-    /// Runs a protocol on the serial reference engine regardless of
-    /// [`SimConfig::threads`] — the escape hatch for protocols whose state
-    /// is not `Send`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    pub fn run_serial<P, F>(&self, factory: F) -> crate::Result<SimOutcome<P>>
-    where
-        P: NodeProtocol,
-        F: FnMut(&NodeContext) -> P,
-    {
-        serial::run_protocol(self.graph, &self.config, &self.obs, factory)
+        crate::engine::run(
+            self.graph,
+            &self.config,
+            &self.obs,
+            self.shard_count(),
+            factory,
+        )
     }
 }
 
@@ -370,8 +334,8 @@ mod tests {
     #[test]
     fn sharded_engine_matches_serial_on_flooding() {
         let g = generators::grid(7, 9);
-        let serial = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(1).with_trace());
-        let reference = serial
+        let inline = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(1).with_trace());
+        let reference = inline
             .run(|_| FloodOnce {
                 received: 0,
                 started: false,
@@ -400,10 +364,8 @@ mod tests {
     fn engine_selection_follows_threads_and_graph_size() {
         let g = generators::path(3);
         let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(1));
-        assert_eq!(sim.engine(), EngineSelection::Serial);
         assert_eq!(sim.shard_count(), 1);
         let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(2));
-        assert_eq!(sim.engine(), EngineSelection::Sharded { threads: 2 });
         assert_eq!(sim.shard_count(), 2);
         // More threads than nodes: capped at the node count.
         let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(64));
@@ -411,7 +373,7 @@ mod tests {
         // A single-node graph cannot be sharded.
         let tiny = lcs_graph::Graph::from_edges(1, &[]).unwrap();
         let sim = Simulator::new(&tiny, SimConfig::for_graph(&tiny).with_threads(8));
-        assert_eq!(sim.engine(), EngineSelection::Serial);
+        assert_eq!(sim.shard_count(), 1);
     }
 
     /// A protocol that (incorrectly) sends to a fixed node id regardless of
@@ -685,29 +647,10 @@ mod tests {
         assert!(outcome.trace.is_empty());
     }
 
-    #[test]
-    fn run_serial_ignores_the_thread_count() {
-        let g = generators::cycle(9);
-        let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(4));
-        let sharded = sim
-            .run(|_| FloodOnce {
-                received: 0,
-                started: false,
-            })
-            .unwrap();
-        let serial = sim
-            .run_serial(|_| FloodOnce {
-                received: 0,
-                started: false,
-            })
-            .unwrap();
-        assert_eq!(sharded.stats, serial.stats);
-    }
-
-    /// A protocol panic must propagate out of the sharded engine as a
-    /// panic (not a barrier deadlock): workers catch it, the coordinator
-    /// stops the fleet, and the payload is re-raised on the caller's
-    /// thread.
+    /// A protocol panic must propagate out of the engine as a panic (not a
+    /// barrier deadlock): inline it unwinds directly; threaded, workers
+    /// catch it, the coordinator stops the fleet, and the payload is
+    /// re-raised on the caller's thread.
     #[test]
     fn protocol_panics_propagate_from_the_sharded_engine() {
         #[derive(Debug)]
@@ -738,15 +681,17 @@ mod tests {
             }
         }
         let g = generators::cycle(8);
-        let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(4));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = sim.run(|ctx| Panicky {
-                id: ctx.node.index(),
-            });
-        }))
-        .expect_err("the protocol panic must resurface");
-        let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("protocol invariant violated"), "{msg}");
+        for threads in [1usize, 4] {
+            let sim = Simulator::new(&g, SimConfig::for_graph(&g).with_threads(threads));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = sim.run(|ctx| Panicky {
+                    id: ctx.node.index(),
+                });
+            }))
+            .expect_err("the protocol panic must resurface");
+            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("protocol invariant violated"), "{msg}");
+        }
     }
 
     #[test]

@@ -136,7 +136,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A seeded plan with every fault class live produces identical
-    /// outcomes on the serial engine and on every shard count.
+    /// outcomes inline at one shard and at every threaded shard count.
     #[test]
     fn faulty_run_is_shard_count_invariant(
         which in 0usize..4,

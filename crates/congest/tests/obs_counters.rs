@@ -1,9 +1,10 @@
-//! Observability invariants of the round engines: the counters a recording
+//! Observability invariants of the round engine: the counters a recording
 //! [`lcs_obs::Obs`] collects are *facts* about the execution — byte-identical
 //! across shard counts — and the per-shard gauge splits fold back to exactly
-//! the `SimStats` the run returned. Both engines report through the shared
-//! `record_run` helper, so a drift between the stats plane and the metrics
-//! plane is a bug this suite pins.
+//! the `SimStats` the run returned. Every shard count reports through the
+//! shared `record_run` helper, so a drift between the stats plane and the
+//! metrics plane is a bug this suite pins, as is a one-shard run that
+//! reports more than its inline metric set.
 
 use lcs_congest::{FaultPlan, Incoming, NodeContext, NodeProtocol, Outgoing, SimConfig, Simulator};
 use lcs_graph::{generators, Graph};

@@ -1,10 +1,9 @@
-//! Engine-determinism properties for the superstep protocols: serial and
-//! sharded engines must produce identical `SimStats` and identical computed
-//! results for every shard count, across the four generator families. The
-//! windowed engine is the heaviest `next_wake` user in the workspace —
-//! every node sleeps through most of each `2L + 1` window — so these
-//! properties pin the per-shard timer heaps of the sharded engine against
-//! the serial reference.
+//! Engine-determinism properties for the superstep protocols: every shard
+//! count must produce the same `SimStats` and computed results as the
+//! inline one-shard run, across the four generator families. The windowed
+//! engine is the heaviest `next_wake` user in the workspace — every node
+//! sleeps through most of each `2L + 1` window — so these properties pin
+//! the per-shard timer heaps of threaded runs against the one-shard run.
 
 use proptest::prelude::*;
 

@@ -29,9 +29,9 @@ use lcs_api::{
 use lcs_obs::Obs;
 
 use crate::corpus::Corpus;
-use crate::histogram::LatencyHistogram;
 use crate::spec::{Mode, WorkloadSpec};
 use crate::trace::{generate_trace, QueryEvent, QueryKind};
+use crate::LatencyHistogram;
 
 /// What one client measured: its sub-histogram, query count, and the
 /// FNV-1a chain over its served-result digests (in its serving order).

@@ -29,10 +29,10 @@
 //!   measures per-query service time. Result *values* are digested with
 //!   FNV-1a ([`lcs_api::ValueDigest`]); same seed ⇒ same digest at any
 //!   `LCS_THREADS`, any client count, any machine.
-//! * **[`LatencyHistogram`]** — fixed-bucket log-linear recorder (16
-//!   sub-buckets per octave, ≤ 1/16 relative quantile error) with exact
-//!   max tracking and associative/commutative merge for per-client
-//!   sub-histograms.
+//! * **[`LatencyHistogram`]** (re-exported from `lcs_obs`) — fixed-bucket
+//!   log-linear recorder (16 sub-buckets per octave, ≤ 1/16 relative
+//!   quantile error) with exact max tracking and associative/commutative
+//!   merge for per-client sub-histograms.
 //!
 //! # Determinism contract
 //!
@@ -73,14 +73,13 @@
 
 pub mod corpus;
 pub mod driver;
-pub mod histogram;
 pub mod spec;
 pub mod trace;
 pub mod zipf;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusSpec, Family, RepairCase};
 pub use driver::{query_of, run_workload, run_workload_obs, ClientOutcome, WorkloadOutcome};
-pub use histogram::LatencyHistogram;
+pub use lcs_obs::LatencyHistogram;
 pub use spec::{Mode, QueryMix, WorkloadSpec};
 pub use trace::{generate_trace, QueryEvent, QueryKind};
 pub use zipf::ZipfSampler;

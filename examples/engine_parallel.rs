@@ -1,11 +1,12 @@
-//! Serial vs sharded round engine: same protocol, same results, different
-//! wall-clock.
+//! One shard inline vs four shards on worker threads: same protocol, same
+//! results, different wall-clock.
 //!
 //! Runs the Lemma 3 distributed verification protocol (the workspace's
 //! longest superstep pipeline) on a 64×64 grid twice — once through a
-//! session pinned to the serial reference engine, once through a session
-//! with four worker shards — and asserts that the executed statistics and
-//! every per-part verdict are byte-identical. The shard count is a
+//! session with one shard, which the round engine runs inline on the
+//! calling thread, once through a session with four shards on four worker
+//! threads — and asserts that the executed statistics and every per-part
+//! verdict are byte-identical. The shard count is a
 //! throughput knob, never a semantic one; `Pipeline::threads` (a value —
 //! `Threads::Auto` defers to `LCS_THREADS`) selects it per session.
 //!
@@ -21,29 +22,29 @@ fn main() {
     let graph = generators::grid(side, side);
     let partition = generators::partitions::grid_columns(side, side);
 
-    let mut serial = Pipeline::on(&graph)
+    let mut inline = Pipeline::on(&graph)
         .threads(Threads::Fixed(1))
         .execution(ExecutionMode::Simulated)
         .seed(42)
         .build()
         .expect("the grid is connected");
-    let sharded = Pipeline::on(&graph)
+    let threaded = Pipeline::on(&graph)
         .threads(Threads::Fixed(4))
         .execution(ExecutionMode::Simulated)
         .seed(42)
         .build()
         .expect("the grid is connected");
 
-    // The engine selection is visible on the session before running.
+    // The shard count is visible on the session before running.
     println!(
-        "grid {side}x{side}: serial engine = {} shard(s), sharded engine = {} shard(s)",
-        serial.shard_map().shard_count(),
-        sharded.shard_map().shard_count()
+        "grid {side}x{side}: inline = {} shard(s), threaded = {} shard(s)",
+        inline.shard_map().shard_count(),
+        threaded.shard_map().shard_count()
     );
 
     // Construct once (scheduled construction, identical on both sessions).
-    serial.set_execution(ExecutionMode::Scheduled);
-    let shortcut = serial
+    inline.set_execution(ExecutionMode::Scheduled);
+    let shortcut = inline
         .shortcut(
             &partition,
             Strategy::Fixed {
@@ -53,36 +54,36 @@ fn main() {
         )
         .expect("grid columns admit shortcuts")
         .shortcut;
-    serial.set_execution(ExecutionMode::Simulated);
+    inline.set_execution(ExecutionMode::Simulated);
 
     let start = Instant::now();
-    let serial_run = serial
+    let inline_run = inline
         .verify(&shortcut, &partition, 3 * b)
         .expect("verification respects the CONGEST constraints");
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
+    let inline_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let start = Instant::now();
-    let sharded_run = sharded
+    let threaded_run = threaded
         .verify(&shortcut, &partition, 3 * b)
         .expect("verification respects the CONGEST constraints");
-    let sharded_ms = start.elapsed().as_secs_f64() * 1e3;
+    let threaded_ms = start.elapsed().as_secs_f64() * 1e3;
 
     // Determinism is the engine's contract: identical statistics and
-    // identical results, not merely "close".
-    let stats = serial_run.report.sim.expect("simulated runs record stats");
-    assert_eq!(serial_run.report.sim, sharded_run.report.sim);
-    assert_eq!(serial_run.good, sharded_run.good);
-    assert_eq!(serial_run.block_counts, sharded_run.block_counts);
+    // identical results for every shard count, not merely "close".
+    let stats = inline_run.report.sim.expect("simulated runs record stats");
+    assert_eq!(inline_run.report.sim, threaded_run.report.sim);
+    assert_eq!(inline_run.good, threaded_run.good);
+    assert_eq!(inline_run.block_counts, threaded_run.block_counts);
 
     println!(
-        "verification: {} rounds, {} messages, {} bits (identical on both engines)",
+        "verification: {} rounds, {} messages, {} bits (identical at both widths)",
         stats.rounds, stats.messages, stats.total_bits
     );
-    println!("serial engine:  {serial_ms:.1} ms");
-    println!("sharded engine: {sharded_ms:.1} ms (4 worker threads)");
+    println!("1 shard, inline:   {inline_ms:.1} ms");
+    println!("4 shards threaded: {threaded_ms:.1} ms (4 worker threads)");
     println!(
         "good parts: {}/{}",
-        serial_run.good.iter().filter(|&&g| g).count(),
+        inline_run.good.iter().filter(|&&g| g).count(),
         partition.part_count()
     );
 }
