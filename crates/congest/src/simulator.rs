@@ -47,9 +47,10 @@ pub struct SimConfig {
     /// Shard count of the round engine, capped at the node count: `1` runs
     /// the round loop inline on the caller's thread, `t > 1` runs `t`
     /// shards on one worker thread each. Results are byte-identical for
-    /// every value — this only chooses how the rounds execute. [`SimConfig::for_graph`]
-    /// initializes it from the `LCS_THREADS` environment variable
-    /// (default 1), so one variable switches every protocol in a process.
+    /// every value — this only chooses how the rounds execute.
+    /// [`SimConfig::for_graph`] initializes it from the `LCS_THREADS`
+    /// environment variable (default 1), so one variable switches every
+    /// protocol in a process.
     pub threads: usize,
     /// Optional deterministic fault schedule (latency, loss, duplication,
     /// stragglers, crashes). `None` — or a plan with every knob at zero —
@@ -212,7 +213,8 @@ impl<'g> Simulator<'g> {
     /// Attaches an instrumentation handle: successful runs report engine
     /// counters (rounds, messages, bits, polls), per-shard gauges, and —
     /// when more than one shard runs on worker threads — barrier-wait and
-    /// staging-flush timers through it. An off handle (the default) costs one branch per run.
+    /// staging-flush timers through it. An off handle (the default) costs
+    /// one branch per run.
     pub fn with_recorder(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
