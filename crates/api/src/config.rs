@@ -23,8 +23,9 @@ impl Default for TreeSpec {
 }
 
 /// Parameters of the Appendix A doubling search, as accepted by
-/// [`Strategy::Doubling`]. `Default` mirrors the legacy
-/// `DoublingConfig::new()`: start at `(1, 1)` with 24 doublings.
+/// [`Strategy::Doubling`]. `Default` mirrors
+/// `lcs_core::construction::DoublingConfig::default()`: start at `(1, 1)`
+/// with 24 doublings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoublingSpec {
     /// Initial congestion guess (doubled on failure, clamped to ≥ 1).
@@ -102,7 +103,7 @@ pub enum CoreKind {
     /// `CoreSlow` (Algorithm 1 / Lemma 7): deterministic, `O(D·c)` rounds.
     Slow,
     /// `CoreFast` (Algorithm 2 / Lemma 5): sampled, `O(D log n + c)`
-    /// rounds, good w.h.p. The sampling constant is the legacy default
+    /// rounds, good w.h.p. The sampling constant is the driver default
     /// `γ = 2`; the seed is the session seed.
     Fast,
 }
@@ -114,6 +115,19 @@ mod tests {
     #[test]
     fn defaults_mirror_the_legacy_configs() {
         let spec = DoublingSpec::default();
+        let core = lcs_core::construction::DoublingConfig::default();
+        assert_eq!(
+            (
+                spec.initial_congestion,
+                spec.initial_block,
+                spec.max_doublings
+            ),
+            (
+                core.initial_congestion,
+                core.initial_block,
+                core.max_doublings
+            )
+        );
         assert_eq!(
             (
                 spec.initial_congestion,

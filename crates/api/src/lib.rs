@@ -20,8 +20,7 @@
 //!
 //! Every query reports through one serializable [`Report`] shape and one
 //! error enum ([`LcsError`], defined in `lcs_graph` so each layer converts
-//! into it). The legacy entry points remain callable as thin shims with
-//! migration notes; new code should come through here.
+//! into it).
 //!
 //! # Quick start
 //!
@@ -56,7 +55,7 @@ mod serve;
 mod session;
 
 pub use config::{CoreKind, DoublingSpec, Strategy, TreeSpec};
-pub use report::{Attempt, Report};
+pub use report::Report;
 pub use serve::{Query, QueryValue, Served, ValueDigest};
 pub use session::{
     MstRun, Pipeline, RepairBaseline, RepairRun, Result, Session, ShortcutRun, VerifyRun,
@@ -70,7 +69,7 @@ pub use lcs_graph::{LcsError, Threads};
 // (`Session::track_partition` / `Session::update_partition`).
 pub use lcs_graph::{AppliedDelta, DeltaOp, PartSet, PartitionDelta};
 
-// The execution-mode switch is shared with the legacy entry points.
+// The execution-mode switch is shared with the lower layers.
 pub use lcs_core::routing::ExecutionMode;
 
 // Pieces of the lower layers a façade caller still reaches for by name:
@@ -78,6 +77,9 @@ pub use lcs_core::routing::ExecutionMode;
 // (including its baselines), and the distributed cross-check harness.
 pub use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimStats};
 pub use lcs_core::construction::CoreOutcome;
+/// One construction attempt of a session query: the `(congestion, block)`
+/// guesses, whether every part verified good, and the rounds it cost.
+pub use lcs_core::construction::DoublingAttempt as Attempt;
 pub use lcs_core::{BlockComponent, Shortcut, ShortcutQuality, TreeShortcut};
 pub use lcs_dist::{CheckedRun, CrossCheck, RetryPolicy};
 pub use lcs_mst::ShortcutStrategy;

@@ -1,25 +1,13 @@
 //! The unified query report: one serializable record shape for every
 //! session query, replacing the per-entry result structs callers previously
-//! had to destructure (`DoublingResult` vs `FindShortcutResult` vs
-//! `MstOutcome` vs `DistVerificationOutcome`).
+//! had to destructure (`FindShortcutResult` vs `MstOutcome` vs
+//! `DistVerificationOutcome`).
 
 use lcs_congest::SimStats;
 use lcs_core::ShortcutQuality;
 use lcs_obs::json::{escape, push_str_field};
 
-/// One attempt of a doubling search: the parameter guesses, whether every
-/// part verified good, and the rounds the attempt cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attempt {
-    /// Congestion guess used by the attempt.
-    pub congestion_guess: usize,
-    /// Block-parameter guess used by the attempt.
-    pub block_guess: usize,
-    /// Whether every part was verified good.
-    pub succeeded: bool,
-    /// Rounds spent by the attempt.
-    pub rounds: u64,
-}
+use crate::Attempt;
 
 /// The unified record of one session query.
 ///
@@ -40,7 +28,9 @@ pub struct Report {
     pub operation: String,
     /// The strategy label, for operations that take one.
     pub strategy: Option<String>,
-    /// Doubling attempts in order; empty for fixed-parameter runs.
+    /// Construction attempts in order: every doubling attempt, or exactly
+    /// one for a [`crate::Strategy::Fixed`] run; empty for operations that
+    /// construct nothing.
     pub attempts: Vec<Attempt>,
     /// Core/verification iterations of the (final) `FindShortcut` run; 0
     /// when not applicable.

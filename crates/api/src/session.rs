@@ -18,23 +18,21 @@ use std::time::Instant;
 
 use lcs_congest::{FaultPlan, RoundCost, RoundTrace, SimConfig};
 use lcs_core::construction::{
-    build_corpus, core_fast, core_slow, repair_corpus, verification, CoreFastConfig, CoreOutcome,
-    FindShortcut, FindShortcutConfig, FindShortcutResult, RepairConfig, RepairStats,
-    ShortcutCorpus,
+    build_corpus, core_fast, core_slow, repair_corpus, run_doubling, scheduled_verifier,
+    verification, CoreFastConfig, CoreOutcome, DoublingConfig, RepairStats, ShortcutCorpus,
+    Verifier,
 };
 use lcs_core::routing::ExecutionMode;
 use lcs_core::{QualityPool, ShortcutQuality, TreeShortcut};
-use lcs_dist::{
-    verification_simulated_obs, verification_simulated_parts, verification_with_retry, RetryPolicy,
-};
+use lcs_dist::{verification_simulated_obs, verification_with_retry, RetryPolicy};
 use lcs_graph::{
-    is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, PartId, PartSet, Partition,
-    PartitionDelta, RootedTree, ShardMap, Threads,
+    is_connected, EdgeId, EdgeWeights, Graph, GraphError, LcsError, Partition, PartitionDelta,
+    RootedTree, ShardMap, Threads,
 };
 use lcs_mst::ShortcutStrategy;
 use lcs_obs::Obs;
 
-use crate::{Attempt, CoreKind, Report, Strategy, TreeSpec};
+use crate::{CoreKind, DoublingSpec, Report, Strategy, TreeSpec};
 
 /// Convenience result alias of the façade.
 pub type Result<T> = std::result::Result<T, LcsError>;
@@ -243,7 +241,7 @@ pub struct Session<'g> {
     pub(crate) obs: Obs,
     /// Tracked partitions and their customization corpora, one slot per
     /// strategy label, most recently tracked/updated last.
-    repair_cache: Vec<RepairSlot>,
+    repair_cache: Vec<RepairBaseline>,
 }
 
 /// Free-list cap: workspaces returned while the list is full are dropped
@@ -288,14 +286,6 @@ impl PoolBank {
     }
 }
 
-/// One cached `(partition, corpus)` pair of [`Session::track_partition`].
-struct RepairSlot {
-    strategy: Strategy,
-    partition: Partition,
-    corpus: ShortcutCorpus,
-    config: RepairConfig,
-}
-
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -315,7 +305,7 @@ pub struct ShortcutRun {
     /// The constructed tree-restricted shortcut.
     pub shortcut: TreeShortcut,
     /// The unified query report. Construction queries always record at
-    /// least one [`Attempt`]; batch entries additionally fill
+    /// least one [`crate::Attempt`]; batch entries additionally fill
     /// [`Report::quality`].
     pub report: Report,
 }
@@ -387,7 +377,7 @@ pub struct RepairBaseline {
     strategy: Strategy,
     partition: Partition,
     corpus: ShortcutCorpus,
-    config: RepairConfig,
+    config: DoublingConfig,
 }
 
 impl RepairBaseline {
@@ -509,52 +499,59 @@ impl<'g> Session<'g> {
         Ok(())
     }
 
-    /// Runs the Theorem 3 driver once with the session's execution mode:
-    /// `Scheduled` uses the centralized Lemma 3 verification, `Simulated`
+    /// The construction verifier of the session's execution mode — the
+    /// one `ExecutionMode` → verifier choice behind every construction
+    /// query (`shortcut`, `batch`, `track_partition` and the repairs).
+    /// `Scheduled` runs the centralized Lemma 3 verification; `Simulated`
     /// drops in the message-passing block counting with the session's
-    /// simulator configuration (threads and tracing included).
-    fn run_find_shortcut(
-        &self,
-        partition: &Partition,
-        config: FindShortcutConfig,
-    ) -> Result<FindShortcutResult> {
-        let driver = FindShortcut::new(config);
-        let result = match self.execution {
-            ExecutionMode::Scheduled => driver.run_with_verifier(
-                self.graph,
-                &self.tree,
-                partition,
-                |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
+    /// simulator configuration (threads and tracing included) and
+    /// recorder. Construction runs fault-free even when the session
+    /// injects faults into `verify`: the doubling search reads a failed
+    /// verification as "guess too small", which a fault-induced stall
+    /// would corrupt.
+    fn verifier(&self) -> impl Verifier + '_ {
+        let sim_config = self.sim_config.without_fault();
+        move |g, t, p, s, threshold, active| match self.execution {
+            ExecutionMode::Scheduled => scheduled_verifier(g, t, p, s, threshold, active),
+            ExecutionMode::Simulated => verification_simulated_obs(
+                g,
+                t,
+                p,
+                s,
+                threshold,
+                active,
+                Some(sim_config),
+                &self.obs,
+            )
+            .map(|outcome| outcome.outcome)
+            .map_err(lcs_core::CoreError::from),
+        }
+    }
+
+    /// Maps a construction [`Strategy`] onto the doubling search, seeded
+    /// with the session seed: `Fixed` becomes a single attempt at its
+    /// parameters; the doubling strategies keep their starting guesses and
+    /// budgets.
+    fn doubling_config_of(&self, strategy: Strategy) -> DoublingConfig {
+        let (spec, use_fast_core) = match strategy {
+            Strategy::Doubling(spec) => (spec, true),
+            Strategy::SlowCore(spec) => (spec, false),
+            Strategy::Fixed { congestion, block } => (
+                DoublingSpec {
+                    initial_congestion: congestion,
+                    initial_block: block,
+                    max_doublings: 0,
+                },
+                true,
             ),
-            ExecutionMode::Simulated => {
-                // Construction attempts run fault-free even when the
-                // session injects faults into `verify`: the doubling search
-                // interprets a failed verification as "guess too small",
-                // which a fault-induced stall would corrupt.
-                let sim_config = self.sim_config.without_fault();
-                let obs = self.obs.clone();
-                driver.run_with_verifier(
-                    self.graph,
-                    &self.tree,
-                    partition,
-                    move |g, t, p, s, threshold, active| {
-                        let outcome = verification_simulated_obs(
-                            g,
-                            t,
-                            p,
-                            s,
-                            threshold,
-                            active,
-                            Some(sim_config),
-                            &obs,
-                        )
-                        .map_err(lcs_core::CoreError::from)?;
-                        Ok(outcome.outcome)
-                    },
-                )
-            }
         };
-        result.map_err(LcsError::from)
+        DoublingConfig {
+            initial_congestion: spec.initial_congestion,
+            initial_block: spec.initial_block,
+            use_fast_core,
+            max_doublings: spec.max_doublings,
+            seed: self.seed,
+        }
     }
 
     /// Constructs a tree-restricted shortcut for `partition` with the
@@ -568,80 +565,40 @@ impl<'g> Session<'g> {
     /// ([`Strategy::Doubling`] / [`Strategy::SlowCore`]) exhausts its
     /// doubling budget, and simulation errors from `Simulated` execution.
     /// A [`Strategy::Fixed`] run whose parameters turn out too small is
-    /// *not* an error (mirroring the legacy driver): it returns `Ok` with
-    /// [`Report::all_parts_good`] `false` and the partial shortcut.
+    /// *not* an error: it returns `Ok` with [`Report::all_parts_good`]
+    /// `false` and the partial shortcut.
     pub fn shortcut(&self, partition: &Partition, strategy: Strategy) -> Result<ShortcutRun> {
         self.check_partition(partition)?;
         let start = Instant::now();
+        // The report's small allocations come before the search's large
+        // temporaries: made after them, they land in the freed space and
+        // fragment the heap (sim-scale's peak RSS grew by ~4 MiB).
         let mut report = Report::new("shortcut");
         report.strategy = Some(strategy.label().to_string());
-
-        let (initial, use_fast_core, max_doublings) = match strategy {
-            Strategy::Doubling(spec) => (
-                (spec.initial_congestion, spec.initial_block),
-                true,
-                spec.max_doublings,
-            ),
-            Strategy::SlowCore(spec) => (
-                (spec.initial_congestion, spec.initial_block),
-                false,
-                spec.max_doublings,
-            ),
-            Strategy::Fixed { congestion, block } => {
-                // A single attempt at the known parameters; the iteration
-                // budget of the driver itself still applies.
-                let config = FindShortcutConfig::new(congestion, block).with_seed(self.seed);
-                let result = self.run_find_shortcut(partition, config)?;
-                report.attempts.push(Attempt {
-                    congestion_guess: congestion,
-                    block_guess: block,
-                    succeeded: result.all_parts_good,
-                    rounds: result.total_rounds(),
-                });
-                report.iterations = result.iterations;
-                report.all_parts_good = result.all_parts_good;
-                report.rounds_charged = result.total_rounds();
-                report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
-                return Ok(ShortcutRun {
-                    shortcut: result.shortcut,
-                    report,
-                });
-            }
-        };
-
-        // The Appendix A doubling loop, attempt seeds identical to the
-        // legacy `doubling_search` (`seed + attempt · 7919`).
-        let mut congestion = initial.0.max(1);
-        let mut block = initial.1.max(1);
-        for attempt_index in 0..=max_doublings {
-            let mut config = FindShortcutConfig::new(congestion, block)
-                .with_seed(self.seed.wrapping_add(attempt_index as u64 * 7919));
-            if !use_fast_core {
-                config = config.with_slow_core();
-            }
-            let result = self.run_find_shortcut(partition, config)?;
-            report.attempts.push(Attempt {
-                congestion_guess: congestion,
-                block_guess: block,
-                succeeded: result.all_parts_good,
-                rounds: result.total_rounds(),
+        let all = vec![true; partition.part_count()];
+        let (result, attempts) = run_doubling(
+            self.graph,
+            &self.tree,
+            partition,
+            &all,
+            self.doubling_config_of(strategy),
+            None,
+            self.verifier(),
+        )?;
+        if budget_is_error(strategy) && !result.all_parts_good {
+            return Err(LcsError::BudgetExhausted {
+                iterations: attempts.len(),
+                remaining_bad: partition.part_count(),
             });
-            report.rounds_charged += result.total_rounds();
-            if result.all_parts_good {
-                report.iterations = result.iterations;
-                report.all_parts_good = true;
-                report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
-                return Ok(ShortcutRun {
-                    shortcut: result.shortcut,
-                    report,
-                });
-            }
-            congestion = congestion.saturating_mul(2);
-            block = block.saturating_mul(2);
         }
-        Err(LcsError::BudgetExhausted {
-            iterations: report.attempts.len(),
-            remaining_bad: partition.part_count(),
+        report.iterations = result.iterations;
+        report.all_parts_good = result.all_parts_good;
+        report.rounds_charged = attempts.iter().map(|a| a.rounds).sum();
+        report.attempts = attempts;
+        report.wall_millis = start.elapsed().as_secs_f64() * 1e3;
+        Ok(ShortcutRun {
+            shortcut: result.shortcut,
+            report,
         })
     }
 
@@ -783,7 +740,7 @@ impl<'g> Session<'g> {
     /// Runs one core subroutine step (Lemma 5 / Lemma 7) on all parts with
     /// congestion parameter `congestion` — the building block the
     /// construction experiments compare. `Fast` uses the session seed and
-    /// the legacy sampling constant `γ = 2`.
+    /// the driver's default sampling constant `γ = 2`.
     ///
     /// # Errors
     ///
@@ -808,10 +765,10 @@ impl<'g> Session<'g> {
         })
     }
 
-    /// Runs distributed Boruvka MST (Lemma 4) over the session's graph
-    /// with the given per-phase shortcut strategy, the session's seed and
-    /// execution mode, and the session's simulator configuration for
-    /// `Simulated` phases.
+    /// Runs distributed Boruvka MST (Lemma 4) over the session's graph and
+    /// tree with the given per-phase shortcut strategy, the session's seed
+    /// and execution mode, and the session's simulator configuration
+    /// (fault-free) for `Simulated` phases.
     ///
     /// # Errors
     ///
@@ -819,13 +776,15 @@ impl<'g> Session<'g> {
     /// [`LcsError::BudgetExhausted`] if the phase cap is hit.
     pub fn mst(&self, weights: &EdgeWeights, strategy: ShortcutStrategy) -> Result<MstRun> {
         let start = Instant::now();
-        #[allow(deprecated)]
-        let config = lcs_mst::BoruvkaConfig::new(strategy)
-            .with_seed(self.seed)
-            .with_execution(self.execution)
-            .with_sim_config(self.sim_config.without_fault());
-        #[allow(deprecated)]
-        let outcome = lcs_mst::boruvka_mst(self.graph, weights, &config)?;
+        let outcome = lcs_mst::boruvka_mst(
+            self.graph,
+            &self.tree,
+            weights,
+            strategy,
+            self.seed,
+            self.execution,
+            Some(self.sim_config.without_fault()),
+        )?;
         let mut report = Report::new("mst");
         report.strategy = Some(format!("{strategy:?}"));
         report.all_parts_good = true;
@@ -882,131 +841,6 @@ impl<'g> Session<'g> {
         Ok(runs)
     }
 
-    /// Maps a construction [`Strategy`] onto the part-scoped doubling
-    /// search: `Fixed` becomes a single attempt (a still-bad part is not
-    /// an error, mirroring [`Session::shortcut`]); the doubling strategies
-    /// keep their budgets and escalate a still-bad part to
-    /// [`LcsError::BudgetExhausted`].
-    fn repair_config_of(&self, strategy: Strategy) -> (RepairConfig, bool) {
-        match strategy {
-            Strategy::Doubling(spec) => (
-                RepairConfig {
-                    congestion: spec.initial_congestion,
-                    block: spec.initial_block,
-                    use_fast_core: true,
-                    max_doublings: spec.max_doublings,
-                    seed: self.seed,
-                },
-                true,
-            ),
-            Strategy::SlowCore(spec) => (
-                RepairConfig {
-                    congestion: spec.initial_congestion,
-                    block: spec.initial_block,
-                    use_fast_core: false,
-                    max_doublings: spec.max_doublings,
-                    seed: self.seed,
-                },
-                true,
-            ),
-            Strategy::Fixed { congestion, block } => (
-                RepairConfig {
-                    congestion,
-                    block,
-                    use_fast_core: true,
-                    max_doublings: 0,
-                    seed: self.seed,
-                },
-                false,
-            ),
-        }
-    }
-
-    /// Builds the full customization corpus for `partition` with the
-    /// session's execution mode (same verification seam as
-    /// [`Session::shortcut`]; `Simulated` runs the restricted-part-set
-    /// verification entry, fault-free).
-    fn build_corpus_dispatch(
-        &self,
-        partition: &Partition,
-        config: &RepairConfig,
-    ) -> Result<ShortcutCorpus> {
-        let result = self.with_pool(|pool| match self.execution {
-            ExecutionMode::Scheduled => build_corpus(
-                self.graph,
-                &self.tree,
-                partition,
-                config,
-                pool,
-                |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
-            ),
-            ExecutionMode::Simulated => {
-                let sim_config = self.sim_config.without_fault();
-                let obs = self.obs.clone();
-                build_corpus(
-                    self.graph,
-                    &self.tree,
-                    partition,
-                    config,
-                    pool,
-                    move |g, t, p, s, threshold, active| {
-                        let outcome =
-                            simulated_parts(g, t, p, s, threshold, active, sim_config, &obs)?;
-                        Ok(outcome)
-                    },
-                )
-            }
-        });
-        result.map_err(LcsError::from)
-    }
-
-    /// Repairs `prev` into a corpus for `partition` (the dirty parts of a
-    /// delta closure are rebuilt, everything else reused) with the
-    /// session's execution mode.
-    #[allow(clippy::too_many_arguments)]
-    fn repair_corpus_dispatch(
-        &self,
-        partition: &Partition,
-        prev: &ShortcutCorpus,
-        origin: &[Option<PartId>],
-        dirty: &PartSet,
-        config: &RepairConfig,
-    ) -> Result<(ShortcutCorpus, RepairStats)> {
-        let result = self.with_pool(|pool| match self.execution {
-            ExecutionMode::Scheduled => repair_corpus(
-                self.graph,
-                &self.tree,
-                partition,
-                prev,
-                origin,
-                dirty,
-                config,
-                pool,
-                |g, t, p, s, threshold, active| Ok(verification(g, t, p, s, threshold, active)),
-            ),
-            ExecutionMode::Simulated => {
-                let sim_config = self.sim_config.without_fault();
-                let obs = self.obs.clone();
-                repair_corpus(
-                    self.graph,
-                    &self.tree,
-                    partition,
-                    prev,
-                    origin,
-                    dirty,
-                    config,
-                    pool,
-                    move |g, t, p, s, threshold, active| {
-                        let outcome =
-                            simulated_parts(g, t, p, s, threshold, active, sim_config, &obs)?;
-                        Ok(outcome)
-                    },
-                )
-            }
-        });
-        result.map_err(LcsError::from)
-    }
-
     /// Assembles a [`RepairRun`] from a finished corpus.
     fn finish_repair(
         &self,
@@ -1047,43 +881,36 @@ impl<'g> Session<'g> {
     /// The shared delta-repair path of [`Session::update_partition`] and
     /// [`Session::repair_from`]: apply the delta, repair the corpus, and
     /// report — with the `session/repair` span, the repair counters and
-    /// the per-repair latency timer around it.
+    /// the per-repair latency timer around it. Returns the post-delta
+    /// baseline alongside the run.
     fn repair_with(
         &self,
-        partition: &Partition,
-        corpus: &ShortcutCorpus,
-        config: &RepairConfig,
-        strategy: Strategy,
+        baseline: &RepairBaseline,
         delta: &PartitionDelta,
-    ) -> Result<(Partition, ShortcutCorpus, RepairRun)> {
+    ) -> Result<(RepairBaseline, RepairRun)> {
         let obs = self.obs.clone();
         let _span = lcs_obs::span!(obs, "session/repair");
         let start = Instant::now();
-        let applied = partition.apply_tracked(self.graph, delta)?;
-        let (new_corpus, stats) = self.repair_corpus_dispatch(
-            &applied.partition,
-            corpus,
-            &applied.origin,
-            &applied.dirty,
-            config,
-        )?;
-        let budget_is_error = !matches!(strategy, Strategy::Fixed { .. });
-        if budget_is_error && !new_corpus.all_good() {
-            return Err(LcsError::BudgetExhausted {
-                iterations: new_corpus
-                    .parts()
-                    .iter()
-                    .map(|p| p.attempts)
-                    .max()
-                    .unwrap_or(0),
-                remaining_bad: new_corpus.parts().iter().filter(|p| !p.good).count(),
-            });
-        }
+        let applied = baseline.partition.apply_tracked(self.graph, delta)?;
+        let (corpus, stats) = self.with_pool(|pool| {
+            repair_corpus(
+                self.graph,
+                &self.tree,
+                &applied.partition,
+                &baseline.corpus,
+                &applied.origin,
+                &applied.dirty,
+                &baseline.config,
+                pool,
+                self.verifier(),
+            )
+        })?;
+        check_corpus_budget(&corpus, baseline.strategy)?;
         let run = self.finish_repair(
             &applied.partition,
-            &new_corpus,
+            &corpus,
             stats,
-            strategy,
+            baseline.strategy,
             "repair",
             start,
         )?;
@@ -1093,7 +920,12 @@ impl<'g> Session<'g> {
             obs.counter_add("session/reused_parts", stats.reused_parts as u64);
             obs.timer_record("session/repair/latency", start.elapsed().as_nanos() as u64);
         }
-        Ok((applied.partition, new_corpus, run))
+        let updated = RepairBaseline {
+            partition: applied.partition,
+            corpus,
+            ..*baseline
+        };
+        Ok((updated, run))
     }
 
     /// Builds and caches the customization corpus for `partition`: every
@@ -1117,14 +949,18 @@ impl<'g> Session<'g> {
     ) -> Result<RepairRun> {
         self.check_partition(partition)?;
         let start = Instant::now();
-        let (config, budget_is_error) = self.repair_config_of(strategy);
-        let corpus = self.build_corpus_dispatch(partition, &config)?;
-        if budget_is_error && !corpus.all_good() {
-            return Err(LcsError::BudgetExhausted {
-                iterations: corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0),
-                remaining_bad: corpus.parts().iter().filter(|p| !p.good).count(),
-            });
-        }
+        let config = self.doubling_config_of(strategy);
+        let corpus = self.with_pool(|pool| {
+            build_corpus(
+                self.graph,
+                &self.tree,
+                partition,
+                &config,
+                pool,
+                self.verifier(),
+            )
+        })?;
+        check_corpus_budget(&corpus, strategy)?;
         let stats = RepairStats {
             repaired_parts: partition.part_count(),
             reused_parts: 0,
@@ -1133,7 +969,7 @@ impl<'g> Session<'g> {
         let run = self.finish_repair(partition, &corpus, stats, strategy, "track", start)?;
         self.repair_cache
             .retain(|slot| slot.strategy.label() != strategy.label());
-        self.repair_cache.push(RepairSlot {
+        self.repair_cache.push(RepairBaseline {
             strategy,
             partition: partition.clone(),
             corpus,
@@ -1158,29 +994,13 @@ impl<'g> Session<'g> {
     /// budget on a rebuilt part; simulation errors in `Simulated` mode.
     /// The cached state is left unchanged on any error.
     pub fn update_partition(&mut self, delta: &PartitionDelta) -> Result<RepairRun> {
-        let mut slot = self.repair_cache.pop().ok_or_else(|| LcsError::Config {
+        let tracked = self.repair_cache.last().ok_or_else(|| LcsError::Config {
             reason: "no tracked partition to update; call Session::track_partition first"
                 .to_string(),
         })?;
-        let outcome = self.repair_with(
-            &slot.partition,
-            &slot.corpus,
-            &slot.config,
-            slot.strategy,
-            delta,
-        );
-        match outcome {
-            Ok((partition, corpus, run)) => {
-                slot.partition = partition;
-                slot.corpus = corpus;
-                self.repair_cache.push(slot);
-                Ok(run)
-            }
-            Err(err) => {
-                self.repair_cache.push(slot);
-                Err(err)
-            }
-        }
+        let (updated, run) = self.repair_with(tracked, delta)?;
+        *self.repair_cache.last_mut().expect("checked above") = updated;
+        Ok(run)
     }
 
     /// Serves one repair against a detached [`RepairBaseline`] — a pure
@@ -1199,60 +1019,39 @@ impl<'g> Session<'g> {
         delta: &PartitionDelta,
     ) -> Result<RepairRun> {
         self.check_partition(&baseline.partition)?;
-        let (_, _, run) = self.repair_with(
-            &baseline.partition,
-            &baseline.corpus,
-            &baseline.config,
-            baseline.strategy,
-            delta,
-        )?;
-        Ok(run)
+        Ok(self.repair_with(baseline, delta)?.1)
     }
 
     /// A detached snapshot of the most recently tracked partition and its
     /// corpus (see [`RepairBaseline`]); `None` until
     /// [`Session::track_partition`] succeeds.
     pub fn repair_baseline(&self) -> Option<RepairBaseline> {
-        self.repair_cache.last().map(|slot| RepairBaseline {
-            strategy: slot.strategy,
-            partition: slot.partition.clone(),
-            corpus: slot.corpus.clone(),
-            config: slot.config,
-        })
+        self.repair_cache.last().cloned()
     }
 }
 
-/// The `Simulated` verification seam of the repair paths: builds the
-/// restricted part set from the driver's active mask and runs the
-/// message-passing block counting on exactly those parts.
-#[allow(clippy::too_many_arguments)]
-fn simulated_parts(
-    g: &Graph,
-    t: &RootedTree,
-    p: &Partition,
-    s: &TreeShortcut,
-    threshold: usize,
-    active: &[bool],
-    sim_config: SimConfig,
-    obs: &Obs,
-) -> lcs_core::Result<lcs_core::construction::VerificationOutcome> {
-    let mut parts = PartSet::new(p.part_count());
-    for (i, &a) in active.iter().enumerate() {
-        if a {
-            parts.insert(PartId::new(i));
-        }
+/// `Fixed` runs accept still-bad parts; the doubling strategies escalate
+/// them to [`LcsError::BudgetExhausted`].
+fn budget_is_error(strategy: Strategy) -> bool {
+    !matches!(strategy, Strategy::Fixed { .. })
+}
+
+/// The corpus counterpart of [`budget_is_error`]: the error reports the
+/// most attempts any part took and the number of still-bad parts.
+fn check_corpus_budget(corpus: &ShortcutCorpus, strategy: Strategy) -> Result<()> {
+    if budget_is_error(strategy) && !corpus.all_good() {
+        return Err(LcsError::BudgetExhausted {
+            iterations: corpus.parts().iter().map(|p| p.attempts).max().unwrap_or(0),
+            remaining_bad: corpus.parts().iter().filter(|p| !p.good).count(),
+        });
     }
-    let outcome =
-        verification_simulated_parts(g, t, p, s, threshold, &parts, Some(sim_config), obs)
-            .map_err(lcs_core::CoreError::from)?;
-    Ok(outcome.outcome)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DoublingSpec;
-    use lcs_graph::{generators, NodeId};
+    use lcs_graph::{generators, NodeId, PartId};
 
     #[test]
     fn repair_probes_are_thread_invariant() {

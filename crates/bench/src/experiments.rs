@@ -2,12 +2,11 @@
 //!
 //! Every table is produced through the `lcs_api` façade: one
 //! [`Pipeline`]-built [`Session`] per instance graph, queried for
-//! shortcuts, quality, verification and MST. The façade dispatches to the
-//! same underlying algorithms as the legacy entry points (the
-//! API-equivalence suite in `crates/api/tests` pins this), so the table
-//! values are unchanged; what changed is that per-graph state (tree,
-//! shard map, quality workspaces) is built once per session instead of
-//! once per measurement.
+//! shortcuts, quality, verification and MST. The API-equivalence suite in
+//! `crates/api/tests` pins the session results to frozen goldens of the
+//! former per-crate entry points, so the table values are unchanged;
+//! per-graph state (tree, shard map, quality workspaces) is built once
+//! per session instead of once per measurement.
 
 use lcs_api::congest::primitives::AggregateOp;
 use lcs_api::existential::reference_parameters;

@@ -11,29 +11,35 @@
 //! theoretical bound because it succeeds as soon as any good-enough
 //! parameters work.
 
-use lcs_congest::RoundCost;
 use lcs_graph::{Graph, Partition, RootedTree};
 
-use super::find_shortcut::{FindShortcut, FindShortcutConfig, FindShortcutResult};
-use crate::{CoreError, Result, TreeShortcut};
+use super::find_shortcut::{FindShortcut, FindShortcutConfig, FindShortcutResult, Verifier};
+use crate::Result;
 
-/// Configuration of the doubling search.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration of the doubling search — shared by every caller: the
+/// session's construction queries, the part-scoped repair path and the
+/// per-phase construction of Boruvka MST.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoublingConfig {
-    /// Initial guess for the congestion parameter (doubled on failure).
+    /// Initial guess for the congestion parameter (clamped to ≥ 1,
+    /// doubled on failure).
     pub initial_congestion: usize,
-    /// Initial guess for the block parameter (doubled on failure).
+    /// Initial guess for the block parameter (clamped to ≥ 1, doubled on
+    /// failure).
     pub initial_block: usize,
     /// Use the randomized core subroutine (default) or the deterministic
     /// one.
     pub use_fast_core: bool,
-    /// Maximum number of doublings before giving up.
+    /// Number of doublings after the initial attempt; `0` makes the search
+    /// a single fixed-parameter attempt.
     pub max_doublings: usize,
-    /// Random seed (each attempt derives its own sub-seed).
+    /// Base seed: attempt `i` runs `FindShortcut` with seed
+    /// `seed + i · 7919`.
     pub seed: u64,
 }
 
 impl Default for DoublingConfig {
+    /// Start at `(1, 1)` with the fast core, 24 doublings, seed 0.
     fn default() -> Self {
         DoublingConfig {
             initial_congestion: 1,
@@ -45,32 +51,6 @@ impl Default for DoublingConfig {
     }
 }
 
-impl DoublingConfig {
-    /// Creates the default configuration (start at `(1, 1)`, fast core).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the initial parameter guesses.
-    pub fn starting_at(mut self, congestion: usize, block: usize) -> Self {
-        self.initial_congestion = congestion.max(1);
-        self.initial_block = block.max(1);
-        self
-    }
-
-    /// Switches to the deterministic core subroutine.
-    pub fn with_slow_core(mut self) -> Self {
-        self.use_fast_core = false;
-        self
-    }
-
-    /// Overrides the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// One attempt of the doubling search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoublingAttempt {
@@ -78,124 +58,97 @@ pub struct DoublingAttempt {
     pub congestion_guess: usize,
     /// Block-parameter guess used by the attempt.
     pub block_guess: usize,
-    /// Whether every part was verified good.
+    /// Whether every active part was verified good.
     pub succeeded: bool,
     /// Rounds spent by the attempt.
     pub rounds: u64,
 }
 
-/// Result of the doubling search.
-#[derive(Debug, Clone)]
-pub struct DoublingResult {
-    /// The shortcut produced by the first successful attempt.
-    pub shortcut: TreeShortcut,
-    /// The congestion guess that succeeded.
-    pub congestion_guess: usize,
-    /// The block-parameter guess that succeeded.
-    pub block_guess: usize,
-    /// Every attempt made, in order.
-    pub attempts: Vec<DoublingAttempt>,
-    /// Total round cost across all attempts (failed attempts included —
-    /// their work is genuinely spent).
-    pub cost: RoundCost,
-}
-
-impl DoublingResult {
-    /// Total number of rounds across all attempts.
-    pub fn total_rounds(&self) -> u64 {
-        self.cost.total()
-    }
-}
-
-/// Runs the Appendix A doubling search.
+/// Runs the Appendix A doubling search over
+/// [`FindShortcut::run_on_parts`]: attempt `i` guesses
+/// `(c·2^i, b·2^i)` from the clamped initial guesses, runs the driver on
+/// the `active` parts with seed `config.seed + i · 7919` and the given
+/// iteration budget (`None` selects the driver default), and stops at the
+/// first attempt in which every active part verified good — or after
+/// `config.max_doublings` doublings.
 ///
-/// # Migration
-///
-/// This is a legacy entry point kept for downstream code; new code should
-/// go through the façade: build a session with `lcs_api::Pipeline::on`
-/// (re-exported as `low_congestion_shortcuts::api`) and call
-/// `Session::shortcut` with `Strategy::Doubling(..)` — same attempt seeds,
-/// same results, one error type, and the session reuses its workspaces
-/// across queries.
+/// Returns the last attempt's driver result (the successful one when
+/// `result.all_parts_good`) and every attempt in order; the rounds of all
+/// attempts are genuinely spent, so a caller charges their sum. Running
+/// out of doublings is not an error here: each caller decides whether an
+/// exhausted search fails its query.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::IterationBudgetExhausted`] if no parameter guess up
-/// to `max_doublings` doublings produced a shortcut with every part good,
-/// and propagates input-validation errors from `FindShortcut`.
-#[deprecated(
-    since = "0.1.0",
-    note = "migrate to `api::Pipeline` / `api::Session::shortcut(.., Strategy::Doubling(..))`"
-)]
-pub fn doubling_search(
+/// Propagates verifier and input-consistency errors of
+/// [`FindShortcut::run_on_parts`].
+pub fn run_doubling<V: Verifier>(
     graph: &Graph,
     tree: &RootedTree,
     partition: &Partition,
+    active: &[bool],
     config: DoublingConfig,
-) -> Result<DoublingResult> {
+    max_iterations: Option<usize>,
+    mut verifier: V,
+) -> Result<(FindShortcutResult, Vec<DoublingAttempt>)> {
     let mut congestion = config.initial_congestion.max(1);
     let mut block = config.initial_block.max(1);
-    let mut cost = RoundCost::new();
     let mut attempts = Vec::new();
-
-    for attempt_index in 0..=config.max_doublings {
-        let mut fs_config = FindShortcutConfig::new(congestion, block)
-            .with_seed(config.seed.wrapping_add(attempt_index as u64 * 7919));
-        if !config.use_fast_core {
-            fs_config = fs_config.with_slow_core();
-        }
-        let result: FindShortcutResult =
-            FindShortcut::new(fs_config).run(graph, tree, partition)?;
-
-        let rounds = result.total_rounds();
-        cost.charge(
-            format!("attempt-{attempt_index} (c={congestion}, b={block})"),
-            rounds,
-        );
+    loop {
+        let fs = FindShortcutConfig {
+            use_fast_core: config.use_fast_core,
+            max_iterations,
+            seed: config.seed.wrapping_add(attempts.len() as u64 * 7919),
+            ..FindShortcutConfig::new(congestion, block)
+        };
+        let result =
+            FindShortcut::new(fs).run_on_parts(graph, tree, partition, active, &mut verifier)?;
         attempts.push(DoublingAttempt {
             congestion_guess: congestion,
             block_guess: block,
             succeeded: result.all_parts_good,
-            rounds,
+            rounds: result.total_rounds(),
         });
-
-        if result.all_parts_good {
-            return Ok(DoublingResult {
-                shortcut: result.shortcut,
-                congestion_guess: congestion,
-                block_guess: block,
-                attempts,
-                cost,
-            });
+        if result.all_parts_good || attempts.len() > config.max_doublings {
+            return Ok((result, attempts));
         }
         congestion = congestion.saturating_mul(2);
         block = block.saturating_mul(2);
     }
-
-    Err(CoreError::IterationBudgetExhausted {
-        iterations: attempts.len(),
-        remaining_bad: partition.part_count(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::scheduled_verifier;
     use lcs_graph::{generators, NodeId};
+
+    /// A whole-partition search with the scheduled verifier and the driver's
+    /// default iteration budget.
+    fn search(
+        g: &Graph,
+        t: &RootedTree,
+        p: &Partition,
+        config: DoublingConfig,
+    ) -> (FindShortcutResult, Vec<DoublingAttempt>) {
+        let all = vec![true; p.part_count()];
+        run_doubling(g, t, p, &all, config, None, scheduled_verifier).unwrap()
+    }
 
     #[test]
     fn doubling_succeeds_without_knowing_parameters() {
         let g = generators::grid(8, 8);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::grid_columns(8, 8);
-        let result = doubling_search(&g, &t, &p, DoublingConfig::new()).unwrap();
-        assert!(result.attempts.last().unwrap().succeeded);
+        let (result, attempts) = search(&g, &t, &p, DoublingConfig::default());
+        let last = *attempts.last().unwrap();
+        assert!(last.succeeded && result.all_parts_good);
         let q = result.shortcut.quality(&g, &p);
-        assert!(q.block_parameter <= 3 * result.block_guess);
+        assert!(q.block_parameter <= 3 * last.block_guess);
         // The successful guesses are the initial values doubled some number
         // of times.
-        assert!(result.congestion_guess.is_power_of_two());
-        assert!(result.block_guess.is_power_of_two());
+        assert!(last.congestion_guess.is_power_of_two());
+        assert!(last.block_guess.is_power_of_two());
         assert!(result.total_rounds() > 0);
     }
 
@@ -204,42 +157,52 @@ mod tests {
         let g = generators::wheel(41);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::wheel_arcs(41, 5);
-        let result = doubling_search(&g, &t, &p, DoublingConfig::new()).unwrap();
-        assert_eq!(result.congestion_guess, 1);
-        assert_eq!(result.block_guess, 1);
-        assert_eq!(result.attempts.len(), 1);
+        let (_, attempts) = search(&g, &t, &p, DoublingConfig::default());
+        assert_eq!(attempts.len(), 1);
+        assert_eq!(
+            (attempts[0].congestion_guess, attempts[0].block_guess),
+            (1, 1)
+        );
     }
 
     #[test]
     fn failed_attempts_are_recorded_and_charged() {
-        // Start from parameters that are too small for the comb partition so
-        // at least one failure is recorded before success.
-        let g = generators::grid(8, 8);
-        let t = RootedTree::bfs(&g, NodeId::new(0));
-        let p = generators::partitions::grid_combs(8, 8);
-        let result = doubling_search(&g, &t, &p, DoublingConfig::new().with_seed(3)).unwrap();
-        assert!(result.attempts.iter().any(|a| !a.succeeded) || result.attempts.len() == 1);
-        // Cost covers every attempt.
-        assert_eq!(result.cost.entries().len(), result.attempts.len());
-        let sum: u64 = result.attempts.iter().map(|a| a.rounds).sum();
-        assert_eq!(sum, result.total_rounds());
+        // The lower-bound instance cannot be served at (1, 1) or (2, 2), so
+        // failed attempts are recorded before the successful one.
+        let (g, layout) = generators::lower_bound_graph(8, 16);
+        let t = RootedTree::bfs(&g, layout.connector(0));
+        let p = generators::partitions::lower_bound_paths(&layout);
+        let (result, attempts) = search(&g, &t, &p, DoublingConfig::default());
+        assert!(attempts.len() > 1);
+        let (last, failed) = attempts.split_last().unwrap();
+        assert!(failed.iter().all(|a| !a.succeeded && a.rounds > 0));
+        assert!(last.succeeded);
+        for pair in attempts.windows(2) {
+            assert_eq!(pair[1].congestion_guess, 2 * pair[0].congestion_guess);
+            assert_eq!(pair[1].block_guess, 2 * pair[0].block_guess);
+        }
+        // The returned driver result is the last attempt's.
+        assert_eq!(last.rounds, result.total_rounds());
     }
 
     #[test]
     fn exhausting_the_doubling_budget_reports_an_error() {
         // The lower-bound instance with eight contending paths cannot be
         // served at (c, b) = (1, 1): the connector-tree edges are shared by
-        // all parts, so with no doublings allowed the search must fail.
+        // all parts, so with no doublings allowed the search ends with one
+        // failed attempt and bad parts left (the caller decides whether
+        // that is an error).
         let (g, layout) = generators::lower_bound_graph(8, 16);
         let t = RootedTree::bfs(&g, layout.connector(0));
         let p = generators::partitions::lower_bound_paths(&layout);
         let config = DoublingConfig {
             max_doublings: 0,
-            ..DoublingConfig::new()
+            ..DoublingConfig::default()
         };
-        let err = doubling_search(&g, &t, &p, config).unwrap_err();
-        assert!(matches!(err, CoreError::IterationBudgetExhausted { .. }));
-        let _ = NodeId::new(0);
+        let (result, attempts) = search(&g, &t, &p, config);
+        assert!(!result.all_parts_good);
+        assert_eq!(attempts.len(), 1);
+        assert!(!attempts[0].succeeded);
     }
 
     #[test]
@@ -247,10 +210,13 @@ mod tests {
         let g = generators::grid(6, 6);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::grid_columns(6, 6);
-        let config = DoublingConfig::new().with_slow_core();
-        let a = doubling_search(&g, &t, &p, config).unwrap();
-        let b = doubling_search(&g, &t, &p, config).unwrap();
+        let config = DoublingConfig {
+            use_fast_core: false,
+            ..DoublingConfig::default()
+        };
+        let (a, a_attempts) = search(&g, &t, &p, config);
+        let (b, b_attempts) = search(&g, &t, &p, DoublingConfig { seed: 9, ..config });
         assert_eq!(a.shortcut, b.shortcut);
-        assert_eq!(a.congestion_guess, b.congestion_guess);
+        assert_eq!(a_attempts, b_attempts);
     }
 }

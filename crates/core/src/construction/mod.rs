@@ -14,30 +14,27 @@
 //! * the **driver** [`FindShortcut`] (Theorem 3) that alternates the two,
 //!   freezing the subgraphs of verified-good parts and re-running the core
 //!   on the rest, until every part is good — `O(log N)` iterations with high
-//!   probability — and the Appendix A [`doubling_search`] that removes the
-//!   need to know `(c, b)` in advance at the cost of an extra `log(bc)`
-//!   factor.
+//!   probability — and the Appendix A doubling search [`run_doubling`]
+//!   that removes the need to know `(c, b)` in advance at the cost of an
+//!   extra `log(bc)` factor. It is the one doubling loop of the workspace:
+//!   whole-partition construction, the part-scoped repair path and
+//!   Boruvka's per-phase construction all run it, each with its own
+//!   active-part mask, seed, iteration budget and [`Verifier`].
 
 mod core_fast;
 mod core_slow;
-// The doubling module hosts (and its tests exercise) the deprecated legacy
-// entry point; the façade replacement lives in `lcs_api`.
-#[allow(deprecated)]
 mod doubling;
-#[allow(deprecated)]
 mod find_shortcut;
 mod repair;
 mod verification;
 
 pub use core_fast::{core_fast, CoreFastConfig};
 pub use core_slow::core_slow;
-#[allow(deprecated)]
-pub use doubling::{doubling_search, DoublingConfig, DoublingResult};
-pub use find_shortcut::{FindShortcut, FindShortcutConfig, FindShortcutResult};
-pub use repair::{
-    build_corpus, repair_corpus, PartState, RepairConfig, RepairStats, RepairVerifier,
-    ShortcutCorpus,
+pub use doubling::{run_doubling, DoublingAttempt, DoublingConfig};
+pub use find_shortcut::{
+    scheduled_verifier, FindShortcut, FindShortcutConfig, FindShortcutResult, Verifier,
 };
+pub use repair::{build_corpus, repair_corpus, PartState, RepairStats, ShortcutCorpus};
 pub use verification::{verification, VerificationOutcome};
 
 use crate::TreeShortcut;

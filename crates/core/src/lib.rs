@@ -25,22 +25,40 @@
 //! # Quick start
 //!
 //! ```
-//! use lcs_core::construction::{FindShortcut, FindShortcutConfig};
+//! use lcs_core::construction::{
+//!     run_doubling, scheduled_verifier, DoublingConfig, FindShortcut, FindShortcutConfig,
+//! };
 //! use lcs_graph::{generators, NodeId, RootedTree};
 //!
-//! // A planar grid partitioned into its columns.
+//! // A planar grid partitioned into its columns; every part is active.
 //! let graph = generators::grid(8, 8);
 //! let partition = generators::partitions::grid_columns(8, 8);
 //! let tree = RootedTree::bfs(&graph, NodeId::new(0));
+//! let all = vec![true; partition.part_count()];
 //!
 //! // Construct a near-optimal tree-restricted shortcut, assuming a
 //! // canonical shortcut with congestion 8 and block parameter 3 exists.
 //! let result = FindShortcut::new(FindShortcutConfig::new(8, 3))
-//!     .run(&graph, &tree, &partition)
+//!     .run_on_parts(&graph, &tree, &partition, &all, scheduled_verifier)
 //!     .unwrap();
 //! let quality = result.shortcut.quality(&graph, &partition);
 //! assert!(quality.block_parameter <= 3 * 3);
 //! assert!(result.all_parts_good);
+//!
+//! // Without knowing (c, b): the Appendix A doubling search.
+//! let (result, attempts) = run_doubling(
+//!     &graph,
+//!     &tree,
+//!     &partition,
+//!     &all,
+//!     DoublingConfig::default(),
+//!     None,
+//!     scheduled_verifier,
+//! )
+//! .unwrap();
+//! let winner = attempts.last().unwrap();
+//! assert!(winner.succeeded);
+//! assert!(result.shortcut.quality(&graph, &partition).block_parameter <= 3 * winner.block_guess);
 //! ```
 
 #![forbid(unsafe_code)]

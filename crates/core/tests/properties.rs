@@ -5,13 +5,11 @@
 //! guarantees), Theorem 3 (FindShortcut output quality), and the internal
 //! consistency of the block-component decomposition.
 
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
 use lcs_core::construction::{
-    core_fast, core_slow, doubling_search, CoreFastConfig, DoublingConfig, FindShortcut,
-    FindShortcutConfig,
+    core_fast, core_slow, run_doubling, scheduled_verifier, CoreFastConfig, DoublingConfig,
+    FindShortcut, FindShortcutConfig,
 };
 use lcs_core::existential::{ancestor_shortcut, reference_parameters};
 use lcs_core::routing::PartRouter;
@@ -144,15 +142,17 @@ proptest! {
         seed in 0u64..200,
     ) {
         let (graph, tree, partition) = random_instance(n, extra, parts, seed);
-        let result = doubling_search(
-            &graph,
-            &tree,
-            &partition,
-            DoublingConfig::new().with_seed(seed),
-        )
-        .expect("doubling always succeeds eventually on small instances");
+        let all = vec![true; partition.part_count()];
+        let config = DoublingConfig { seed, ..DoublingConfig::default() };
+        let (result, attempts) =
+            run_doubling(&graph, &tree, &partition, &all, config, None, scheduled_verifier)
+                .unwrap();
+        // Doubling always succeeds eventually on small instances.
+        prop_assert!(result.all_parts_good);
+        let last = attempts.last().unwrap();
+        prop_assert!(last.succeeded);
         let q = result.shortcut.quality(&graph, &partition);
-        prop_assert!(q.block_parameter <= 3 * result.block_guess);
+        prop_assert!(q.block_parameter <= 3 * last.block_guess);
         prop_assert!(q.satisfies_lemma1(tree.depth_of_tree()));
         prop_assert!(result.shortcut.validate(&tree, &partition).is_ok());
     }
@@ -170,8 +170,9 @@ proptest! {
         let (_, reference) = reference_parameters(&graph, &tree, &partition);
         let c = reference.congestion.max(1);
         let b = reference.block_parameter.max(1);
+        let all = vec![true; partition.part_count()];
         let result = FindShortcut::new(FindShortcutConfig::new(c, b).with_seed(seed))
-            .run(&graph, &tree, &partition)
+            .run_on_parts(&graph, &tree, &partition, &all, scheduled_verifier)
             .unwrap();
         prop_assert!(result.all_parts_good);
         let q = result.shortcut.quality(&graph, &partition);

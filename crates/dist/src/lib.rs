@@ -22,10 +22,9 @@
 //!   intra-block agreement interleaved with supergraph exchanges;
 //! * [`verification_simulated`] — Lemma 3 as message passing: distributed
 //!   block-component counting, a sound and complete drop-in for
-//!   `lcs_core::construction::verification`;
-//! * [`find_shortcut`] — the Theorem 3 driver with an
-//!   [`lcs_core::routing::ExecutionMode`] switch for its verification
-//!   subroutine;
+//!   `lcs_core::construction::verification` — and, wrapped as a closure,
+//!   for the verifier of the Theorem 3 driver
+//!   (`lcs_core::construction::Verifier`);
 //! * [`CrossCheck`] — the harness asserting, per primitive, that the
 //!   distributed execution equals the centralized result and respects the
 //!   paper's round bounds (tabulated by experiment E8).
@@ -55,7 +54,6 @@
 
 mod cast;
 mod crosscheck;
-mod driver;
 mod engine;
 mod error;
 mod flood;
@@ -64,7 +62,6 @@ mod verification;
 
 pub use cast::{block_convergecast, block_exchange, BlockCastOutcome};
 pub use crosscheck::{CheckedRun, CrossCheck};
-pub use driver::find_shortcut;
 pub use error::{DistError, Result};
 pub use flood::{
     min_edge_candidates, part_flood_min, part_leaders, part_min_edges, PartFloodOutcome,
@@ -73,6 +70,5 @@ pub use flood::{
 pub use knowledge::{BlockFamily, Membership, NodeInfo};
 pub use verification::{
     counting_supersteps, verification_simulated, verification_simulated_obs,
-    verification_simulated_parts, verification_with_retry, DistVerificationOutcome, RetryPolicy,
-    RetryVerification,
+    verification_with_retry, DistVerificationOutcome, RetryPolicy, RetryVerification,
 };

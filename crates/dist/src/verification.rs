@@ -37,7 +37,7 @@
 use lcs_congest::{bits_for_node_count, SimConfig, SimError, SimStats};
 use lcs_core::construction::VerificationOutcome;
 use lcs_core::TreeShortcut;
-use lcs_graph::{Graph, NodeId, PartSet, Partition, RootedTree};
+use lcs_graph::{Graph, NodeId, Partition, RootedTree};
 use lcs_obs::Obs;
 
 use crate::engine::{run_engine, EngineSpec, NodeProgram};
@@ -620,48 +620,6 @@ pub fn verification_simulated_obs(
     })
 }
 
-/// [`verification_simulated_obs`] restricted to an explicit part set —
-/// the entry the incremental repair layer drives: only the parts in
-/// `parts` are verified (the dirty closure of a partition delta), every
-/// other part is skipped by the protocol exactly as an inactive part of a
-/// driver iteration would be.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if `parts` is defined over a different part universe than the
-/// partition or if `threshold` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn verification_simulated_parts(
-    graph: &Graph,
-    tree: &RootedTree,
-    partition: &Partition,
-    shortcut: &TreeShortcut,
-    threshold: usize,
-    parts: &PartSet,
-    config: Option<SimConfig>,
-    obs: &Obs,
-) -> Result<DistVerificationOutcome> {
-    assert_eq!(
-        parts.universe(),
-        partition.part_count(),
-        "the part set must cover the partition's part universe"
-    );
-    verification_simulated_obs(
-        graph,
-        tree,
-        partition,
-        shortcut,
-        threshold,
-        parts.as_mask(),
-        config,
-        obs,
-    )
-}
-
 /// How [`verification_with_retry`] turns stalled runs into fresh epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -831,9 +789,47 @@ pub fn verification_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcs_core::construction::verification;
-    use lcs_core::existential::ancestor_shortcut;
+    use lcs_core::construction::{
+        scheduled_verifier, verification, FindShortcut, FindShortcutConfig,
+    };
+    use lcs_core::existential::{ancestor_shortcut, reference_parameters};
     use lcs_graph::generators;
+
+    #[test]
+    fn simulated_verification_drives_find_shortcut_to_the_same_guarantees() {
+        let g = generators::grid(6, 6);
+        let t = RootedTree::bfs(&g, NodeId::new(0));
+        let p = generators::partitions::grid_columns(6, 6);
+        let (_, reference) = reference_parameters(&g, &t, &p);
+        let driver = FindShortcut::new(
+            FindShortcutConfig::new(
+                reference.congestion.max(1),
+                reference.block_parameter.max(1),
+            )
+            .with_seed(7),
+        );
+        let all = vec![true; p.part_count()];
+
+        let scheduled = driver
+            .run_on_parts(&g, &t, &p, &all, scheduled_verifier)
+            .unwrap();
+        let simulated = driver
+            .run_on_parts(&g, &t, &p, &all, |g, t, p, s, threshold, active| {
+                let outcome = verification_simulated(g, t, p, s, threshold, active, None)
+                    .map_err(lcs_core::CoreError::from)?;
+                Ok(outcome.outcome)
+            })
+            .unwrap();
+        assert!(scheduled.all_parts_good);
+        assert!(simulated.all_parts_good);
+        // Same cores, same classification of good parts, hence the same
+        // shortcut: only the charged verification rounds may differ.
+        assert_eq!(simulated.shortcut, scheduled.shortcut);
+        assert_eq!(simulated.iterations, scheduled.iterations);
+        let b = reference.block_parameter.max(1);
+        let q = simulated.shortcut.quality(&g, &p);
+        assert!(q.block_parameter <= 3 * b);
+    }
 
     fn all_active(p: &Partition) -> Vec<bool> {
         vec![true; p.part_count()]

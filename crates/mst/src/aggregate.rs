@@ -79,17 +79,17 @@ pub fn part_broadcast<T: Clone>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
     use super::*;
-    use lcs_core::construction::{FindShortcut, FindShortcutConfig};
+    use lcs_core::construction::{scheduled_verifier, FindShortcut, FindShortcutConfig};
     use lcs_graph::generators;
 
     fn setup() -> (Graph, RootedTree, Partition, TreeShortcut) {
         let g = generators::wheel(41);
         let t = RootedTree::bfs(&g, NodeId::new(0));
         let p = generators::partitions::wheel_arcs(41, 5);
+        let all = vec![true; p.part_count()];
         let s = FindShortcut::new(FindShortcutConfig::new(1, 1))
-            .run(&g, &t, &p)
+            .run_on_parts(&g, &t, &p, &all, scheduled_verifier)
             .unwrap()
             .shortcut;
         (g, t, p, s)

@@ -24,15 +24,20 @@
 //! # Example
 //!
 //! ```
-//! use lcs_mst::{boruvka_mst, BoruvkaConfig, ShortcutStrategy};
-//! use lcs_graph::{generators, kruskal_mst, EdgeWeights};
+//! use lcs_mst::{boruvka_mst, ExecutionMode, ShortcutStrategy};
+//! use lcs_graph::{generators, kruskal_mst, EdgeWeights, NodeId, RootedTree};
 //!
 //! let graph = generators::grid(6, 6);
+//! let tree = RootedTree::bfs(&graph, NodeId::new(0));
 //! let weights = EdgeWeights::random_permutation(&graph, 7);
 //! let outcome = boruvka_mst(
 //!     &graph,
+//!     &tree,
 //!     &weights,
-//!     &BoruvkaConfig::new(ShortcutStrategy::Doubling),
+//!     ShortcutStrategy::Doubling,
+//!     7,
+//!     ExecutionMode::Scheduled,
+//!     None,
 //! )
 //! .unwrap();
 //! let reference = kruskal_mst(&graph, &weights);
@@ -43,15 +48,11 @@
 #![warn(missing_docs)]
 
 mod aggregate;
-// The boruvka module hosts (and its tests exercise) the deprecated legacy
-// configuration struct; the façade replacement is `lcs_api::Session::mst`.
-#[allow(deprecated)]
 mod boruvka;
 pub mod verify;
 
 pub use aggregate::{part_aggregate, part_broadcast, PartAggregateOutcome};
-#[allow(deprecated)]
-pub use boruvka::{boruvka_mst, BoruvkaConfig, MstOutcome, ShortcutStrategy};
+pub use boruvka::{boruvka_mst, MstOutcome, ShortcutStrategy};
 pub use lcs_core::routing::ExecutionMode;
 
 /// Convenience result alias used throughout the crate.

@@ -1,24 +1,26 @@
 //! Cross-crate integration tests: the full pipeline from graph generation
 //! through shortcut construction and routing to the MST application,
-//! validated against centralized references.
-//!
-//! The legacy entry points are exercised on purpose (beyond the façade
-//! tests below): they are the deprecation shims the redesign promised to
-//! keep compiling for downstream code.
-#![allow(deprecated)]
+//! validated against centralized references. Construction and MST run
+//! through the `api` session; the core driver is called directly where a
+//! test inspects its per-iteration cost breakdown.
 
-use low_congestion_shortcuts::api;
+use low_congestion_shortcuts::api::{self, Pipeline, Session, Strategy};
 use low_congestion_shortcuts::core::construction::{
-    doubling_search, DoublingConfig, FindShortcut, FindShortcutConfig,
+    run_doubling, scheduled_verifier, DoublingConfig, FindShortcut, FindShortcutConfig,
 };
 use low_congestion_shortcuts::core::existential::reference_parameters;
 use low_congestion_shortcuts::core::routing::PartRouter;
 use low_congestion_shortcuts::graph::{
-    diameter_exact, generators, kruskal_mst, EdgeWeights, NodeId, RootedTree,
+    diameter_exact, generators, kruskal_mst, EdgeWeights, Graph, NodeId, RootedTree,
 };
-use low_congestion_shortcuts::mst::{
-    boruvka_mst, part_aggregate, verify, BoruvkaConfig, ShortcutStrategy,
-};
+use low_congestion_shortcuts::mst::{part_aggregate, verify, ShortcutStrategy};
+
+/// A default session (BFS tree rooted at node 0, scheduled, seed 0).
+fn session(graph: &Graph) -> Session<'_> {
+    Pipeline::on(graph)
+        .build()
+        .expect("test graphs are connected")
+}
 
 /// End-to-end pipeline on a planar grid: generate, construct shortcuts with
 /// the doubling search, route, and solve MST — everything must agree with
@@ -27,16 +29,18 @@ use low_congestion_shortcuts::mst::{
 fn full_pipeline_on_planar_grid() {
     let graph = generators::grid(10, 10);
     let partition = generators::partitions::grid_columns(10, 10);
-    let tree = RootedTree::bfs(&graph, NodeId::new(0));
+    let session = session(&graph);
+    let tree = session.tree();
 
     // Shortcut construction without knowing (c, b).
-    let constructed = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
+    let constructed = session.shortcut(&partition, Strategy::doubling()).unwrap();
+    let (_, block_guess) = constructed.winning_guess().unwrap();
     let quality = constructed.shortcut.quality(&graph, &partition);
-    assert!(quality.block_parameter <= 3 * constructed.block_guess);
+    assert!(quality.block_parameter <= 3 * block_guess);
     assert!(quality.satisfies_lemma1(tree.depth_of_tree()));
 
     // Routing on the constructed shortcut: per-part member counts.
-    let router = PartRouter::new(&graph, &tree, &partition, &constructed.shortcut);
+    let router = PartRouter::new(&graph, tree, &partition, &constructed.shortcut);
     assert!(router.supergraphs_connected());
     let ones: Vec<Option<u64>> = graph
         .nodes()
@@ -52,12 +56,7 @@ fn full_pipeline_on_planar_grid() {
 
     // Distributed MST matches Kruskal.
     let weights = EdgeWeights::random_permutation(&graph, 99);
-    let outcome = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::Doubling),
-    )
-    .unwrap();
+    let outcome = session.mst(&weights, ShortcutStrategy::Doubling).unwrap();
     assert_eq!(outcome.edges, kruskal_mst(&graph, &weights));
     assert!(verify::is_minimum_spanning_tree(
         &graph,
@@ -75,26 +74,22 @@ fn shortcut_mst_beats_baseline_routing_on_low_diameter_planar_graphs() {
     assert_eq!(diameter_exact(&graph), 2);
     let weights = EdgeWeights::random_permutation(&graph, 5);
 
-    let with_shortcuts = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::FindShortcut {
-            congestion: 2,
-            block: 2,
-        }),
-    )
-    .unwrap();
-    let baseline = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::NoShortcut),
-    )
-    .unwrap();
+    let session = session(&graph);
+    let with_shortcuts = session
+        .mst(
+            &weights,
+            ShortcutStrategy::FindShortcut {
+                congestion: 2,
+                block: 2,
+            },
+        )
+        .unwrap();
+    let baseline = session.mst(&weights, ShortcutStrategy::NoShortcut).unwrap();
 
     assert_eq!(with_shortcuts.edges, baseline.edges);
     assert_eq!(with_shortcuts.edges, kruskal_mst(&graph, &weights));
 
-    let routing = |outcome: &low_congestion_shortcuts::mst::MstOutcome| -> u64 {
+    let routing = |outcome: &api::MstRun| -> u64 {
         outcome
             .cost
             .entries()
@@ -116,21 +111,24 @@ fn shortcut_mst_beats_baseline_routing_on_low_diameter_planar_graphs() {
 #[test]
 fn theorem3_on_torus_with_reference_parameters() {
     let graph = generators::torus(10, 10);
-    let tree = RootedTree::bfs(&graph, NodeId::new(0));
+    let session = session(&graph);
     let partition = generators::partitions::random_bfs_balls(&graph, 10, 1);
-    let (_, reference) = reference_parameters(&graph, &tree, &partition);
+    let (_, reference) = reference_parameters(&graph, session.tree(), &partition);
 
-    let result = FindShortcut::new(FindShortcutConfig::new(
-        reference.congestion.max(1),
-        reference.block_parameter.max(1),
-    ))
-    .run(&graph, &tree, &partition)
-    .unwrap();
+    let result = session
+        .shortcut(
+            &partition,
+            Strategy::Fixed {
+                congestion: reference.congestion.max(1),
+                block: reference.block_parameter.max(1),
+            },
+        )
+        .unwrap();
 
-    assert!(result.all_parts_good);
+    assert!(result.report.all_parts_good);
     let quality = result.shortcut.quality(&graph, &partition);
     assert!(quality.block_parameter <= 3 * reference.block_parameter.max(1));
-    assert!(quality.congestion <= 8 * reference.congestion.max(1) * result.iterations + 1);
+    assert!(quality.congestion <= 8 * reference.congestion.max(1) * result.report.iterations + 1);
 }
 
 /// The lower-bound instance: the framework does not (and should not) help,
@@ -139,12 +137,9 @@ fn theorem3_on_torus_with_reference_parameters() {
 fn lower_bound_instance_still_computes_correct_mst() {
     let (graph, _layout) = generators::lower_bound_graph(6, 24);
     let weights = EdgeWeights::random_permutation(&graph, 13);
-    let outcome = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::Doubling),
-    )
-    .unwrap();
+    let outcome = session(&graph)
+        .mst(&weights, ShortcutStrategy::Doubling)
+        .unwrap();
     assert_eq!(outcome.edges, kruskal_mst(&graph, &weights));
 }
 
@@ -152,9 +147,9 @@ fn lower_bound_instance_still_computes_correct_mst() {
 #[test]
 fn part_aggregate_on_genus_graph() {
     let graph = generators::genus_handles(10, 10, 3);
-    let tree = RootedTree::bfs(&graph, NodeId::new(0));
+    let session = session(&graph);
     let partition = generators::partitions::grid_columns(10, 10);
-    let constructed = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
+    let constructed = session.shortcut(&partition, Strategy::doubling()).unwrap();
 
     // Every member contributes its degree; the per-part sums must match a
     // direct computation.
@@ -164,7 +159,7 @@ fn part_aggregate_on_genus_graph() {
         .collect();
     let outcome = part_aggregate(
         &graph,
-        &tree,
+        session.tree(),
         &partition,
         &constructed.shortcut,
         &degrees,
@@ -190,11 +185,12 @@ fn round_accounting_is_consistent() {
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     let partition = generators::partitions::grid_columns(12, 12);
     let (_, reference) = reference_parameters(&graph, &tree, &partition);
+    let all = vec![true; partition.part_count()];
     let result = FindShortcut::new(FindShortcutConfig::new(
         reference.congestion.max(1),
         reference.block_parameter.max(1),
     ))
-    .run(&graph, &tree, &partition)
+    .run_on_parts(&graph, &tree, &partition, &all, scheduled_verifier)
     .unwrap();
 
     let breakdown_sum: u64 = result.cost.entries().iter().map(|(_, r)| r).sum();
@@ -219,18 +215,17 @@ fn simulated_execution_pipeline_agrees_with_centralized_references() {
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     let partition = generators::partitions::random_bfs_balls(&graph, 8, 2);
     let (_, reference) = reference_parameters(&graph, &tree, &partition);
-    let config = low_congestion_shortcuts::core::construction::FindShortcutConfig::new(
-        reference.congestion.max(1),
-        reference.block_parameter.max(1),
-    )
-    .with_seed(4);
+    let fixed = Strategy::Fixed {
+        congestion: reference.congestion.max(1),
+        block: reference.block_parameter.max(1),
+    };
 
     // FindShortcut with the message-passing verification drop-in.
-    let scheduled =
-        dist::find_shortcut(config, ExecutionMode::Scheduled, &graph, &tree, &partition).unwrap();
-    let simulated =
-        dist::find_shortcut(config, ExecutionMode::Simulated, &graph, &tree, &partition).unwrap();
-    assert!(simulated.all_parts_good);
+    let mut session = Pipeline::on(&graph).seed(4).build().unwrap();
+    let scheduled = session.shortcut(&partition, fixed).unwrap();
+    session.set_execution(ExecutionMode::Simulated);
+    let simulated = session.shortcut(&partition, fixed).unwrap();
+    assert!(simulated.report.all_parts_good);
     assert_eq!(simulated.shortcut, scheduled.shortcut);
 
     // Cross-check every routing primitive on the constructed shortcut.
@@ -244,40 +239,44 @@ fn simulated_execution_pipeline_agrees_with_centralized_references() {
         .unwrap();
 
     // Boruvka with simulated per-part communication still equals Kruskal.
-    let outcome = boruvka_mst(
-        &graph,
-        &weights,
-        &BoruvkaConfig::new(ShortcutStrategy::Doubling)
-            .with_seed(2)
-            .with_execution(ExecutionMode::Simulated),
-    )
-    .unwrap();
+    session.set_seed(2);
+    let outcome = session.mst(&weights, ShortcutStrategy::Doubling).unwrap();
     assert_eq!(outcome.edges, kruskal_mst(&graph, &weights));
 }
 
 /// The same full pipeline through the `api` front door: one session serves
 /// construction, quality, verification and MST, and every result agrees
-/// with the direct legacy calls exercised by the tests above.
+/// with the direct core calls.
 #[test]
 fn full_pipeline_through_the_api_facade() {
     let graph = generators::grid(10, 10);
     let partition = generators::partitions::grid_columns(10, 10);
-    let mut session = api::Pipeline::on(&graph)
-        .build()
-        .expect("the grid is connected");
+    let mut session = session(&graph);
 
-    // Construction without knowing (c, b), equal to the legacy search.
+    // Construction without knowing (c, b), equal to the core doubling
+    // search with the scheduled verifier.
     let run = session
         .shortcut(&partition, api::Strategy::doubling())
         .unwrap();
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
-    let legacy = doubling_search(&graph, &tree, &partition, DoublingConfig::new()).unwrap();
-    assert_eq!(run.shortcut, legacy.shortcut);
+    let all = vec![true; partition.part_count()];
+    let (direct, attempts) = run_doubling(
+        &graph,
+        &tree,
+        &partition,
+        &all,
+        DoublingConfig::default(),
+        None,
+        scheduled_verifier,
+    )
+    .unwrap();
+    assert_eq!(run.shortcut, direct.shortcut);
+    assert_eq!(run.report.attempts, attempts);
     assert!(run.report.all_parts_good);
 
     // Quality through the session's reusable workspaces.
     let quality = session.quality(&run.shortcut, &partition).unwrap();
-    assert_eq!(quality, legacy.shortcut.quality(&graph, &partition));
+    assert_eq!(quality, direct.shortcut.quality(&graph, &partition));
     let (_, b) = run.winning_guess().unwrap();
     assert!(quality.block_parameter <= 3 * b);
 
