@@ -5,15 +5,16 @@
 //! * `tcp_closed/{1,4}` — closed-loop replays at 1 and 4
 //!   client connections, so the difference shows what concurrent
 //!   serving over the shared session buys (or costs) end to end;
-//! * `direct_serve_shared` — the same trace replayed in-process through
-//!   `Session::serve_shared`, isolating protocol + socket overhead from
-//!   query cost.
+//! * `direct_serve_shared` — the same trace replayed by the same driver
+//!   in process (one warm session through `Session::serve_shared`),
+//!   isolating protocol + socket overhead from query cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcs_api::Pipeline;
-use lcs_server::{client, ServerConfig, ServerHandle};
+use lcs_obs::Obs;
+use lcs_server::{client, ServerConfig, ServerHandle, Tcp};
 use lcs_workload::{
-    generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec,
+    generate_trace, replay, Corpus, CorpusSpec, Family, InProcess, Mode, QueryMix, WorkloadSpec,
 };
 
 const QUERIES: usize = 48;
@@ -44,28 +45,22 @@ fn bench_e17(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e17_server");
     group.sample_size(10);
+    let closed = |clients| Mode::Closed {
+        clients,
+        think_nanos: 0,
+    };
+    let tcp = Tcp::new(addr, "grid");
     for clients in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("tcp_closed", clients),
             &clients,
-            |b, &clients| {
-                b.iter(|| client::replay_closed(addr, "grid", &trace, clients, 0).unwrap())
-            },
+            |b, &clients| b.iter(|| replay(&tcp, &trace, closed(clients), &Obs::off()).unwrap()),
         );
     }
     let session = Pipeline::on(corpus.graph()).seed(SEED).build().unwrap();
+    let direct = InProcess::new(&session, &corpus);
     group.bench_with_input(BenchmarkId::new("direct_serve_shared", 1), &(), |b, ()| {
-        b.iter(|| {
-            trace
-                .iter()
-                .map(|event| {
-                    session
-                        .serve_shared(query_of(&corpus, event))
-                        .unwrap()
-                        .digest
-                })
-                .fold(0u64, u64::wrapping_add)
-        })
+        b.iter(|| replay(&direct, &trace, closed(1), &Obs::off()).unwrap())
     });
     group.finish();
 

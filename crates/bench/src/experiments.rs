@@ -1028,8 +1028,9 @@ pub fn e11_serving_table() -> Table {
 /// × two query mixes ("consume" = verify/quality only; "mixed" adds a
 /// construct/MST minority). Open loop paces Poisson arrivals at a fixed
 /// mean and charges queueing delay to latency, so the expensive minority
-/// of a mixed trace pushes p99 far past p50; the closed loop reports pure
-/// service time for contrast. Every configuration is run twice and the
+/// of a mixed trace pushes p99 far past p50; the closed loop's clients
+/// share one warm session and report the driver-timed latency of each
+/// call for contrast. Every configuration is run twice and the
 /// `det` column asserts the two result-value digests are identical — the
 /// determinism contract the workload layer guarantees at any thread count.
 ///
@@ -1794,19 +1795,22 @@ pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
 /// throughput columns.
 ///
 /// The determinism claim is stronger than E13's rerun check: for each
-/// mix, the trace is first replayed *sequentially* through
-/// `Session::serve_shared` on both engines (`Threads::Fixed(1)` and
-/// `Fixed(4)`), and the `det` column asserts the TCP replay's digest
-/// multiset equals both baselines — the wire and the worker
+/// mix, the trace is first replayed *sequentially* in process (the
+/// workload driver's `InProcess` transport, one client) on both engines
+/// (`Threads::Fixed(1)` and `Fixed(4)`), and the `det` column asserts
+/// that the TCP replay (the same driver over the `Tcp` transport) has the
+/// digest multiset of both baselines: the wire and the worker
 /// interleaving add latency, never values. Each row's extras record the
 /// FNV-1a fold of the *sorted* digest multiset (order-independent, so
 /// byte-comparable across `--threads` runs in CI) plus the full latency
 /// histogram and its p99.9 tail.
 pub fn e17_server_table() -> (Table, String) {
     use lcs_api::{Threads, ValueDigest};
-    use lcs_server::{client, ServerConfig, ServerHandle};
+    use lcs_obs::Obs;
+    use lcs_server::{client, ServerConfig, ServerHandle, Tcp};
     use lcs_workload::{
-        generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec,
+        generate_trace, replay, Corpus, CorpusSpec, Family, InProcess, Mode, QueryEvent, QueryMix,
+        WorkloadSpec,
     };
 
     const QUERIES: usize = 64;
@@ -1830,24 +1834,18 @@ pub fn e17_server_table() -> (Table, String) {
     )
     .expect("server spawns");
 
-    // Sorted digest multiset of a sequential `serve_shared` replay at a
-    // fixed engine width.
-    let baseline = |spec: &WorkloadSpec, threads: usize| -> Vec<u64> {
+    // Sorted digest multiset of a sequential in-process replay (the
+    // spec's one closed-loop client) at a fixed engine width.
+    let baseline = |spec: &WorkloadSpec, trace: &[QueryEvent], threads: usize| -> Vec<u64> {
         let session = Pipeline::on(corpus.graph())
             .seed(SEED)
             .threads(Threads::Fixed(threads))
             .build()
             .expect("baseline session builds");
-        let trace = generate_trace(spec, corpus.len()).expect("trace generates");
-        let mut digests: Vec<u64> = trace
-            .iter()
-            .map(|event| {
-                session
-                    .serve_shared(query_of(&corpus, event))
-                    .expect("baseline query serves")
-                    .digest
-            })
-            .collect();
+        let direct = InProcess::new(&session, &corpus);
+        let mut digests = replay(&direct, trace, spec.mode, &Obs::off())
+            .expect("baseline replay runs")
+            .digests;
         digests.sort_unstable();
         digests
     };
@@ -1875,13 +1873,17 @@ pub fn e17_server_table() -> (Table, String) {
             mix,
             SEED,
         );
-        let serial = baseline(&spec, 1);
-        let sharded = baseline(&spec, 4);
-        let engines_agree = serial == sharded;
         let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
+        let serial = baseline(&spec, &trace, 1);
+        let sharded = baseline(&spec, &trace, 4);
+        let engines_agree = serial == sharded;
+        let tcp = Tcp::new(server.addr(), "grid");
         for &clients in &CLIENT_COUNTS {
-            let outcome = client::replay_closed(server.addr(), "grid", &trace, clients, 0)
-                .expect("tcp replay runs");
+            let mode = Mode::Closed {
+                clients,
+                think_nanos: 0,
+            };
+            let outcome = replay(&tcp, &trace, mode, &Obs::off()).expect("tcp replay runs");
             let mut served = outcome.digests.clone();
             served.sort_unstable();
             let deterministic = engines_agree && served == serial;

@@ -1,60 +1,63 @@
-//! Loopback replay clients: drive a running server with a
-//! [`lcs_workload`] trace and measure what the wire adds.
+//! Loopback clients of a running server: the [`Tcp`] transport, which
+//! lets [`lcs_workload::replay`] drive the server with a trace, plus the
+//! one-shot `ping` / `shutdown` / `metrics` requests.
 //!
-//! The two drivers mirror `lcs_workload::run_workload`'s pacing models,
-//! but over TCP instead of in-process calls:
-//!
-//! * **Closed loop** — `k` client threads, each with its own connection,
-//!   serving the trace round-robin (client `i` takes events
-//!   `i, i+k, i+2k, …`); latency is per-request round-trip time.
-//! * **Open loop** — one connection replaying the trace's arrival
-//!   schedule; latency is completion − scheduled arrival, so queueing
-//!   delay counts (no coordinated omission).
-//!
-//! Digests follow the same determinism contract as the in-process
-//! drivers: [`ReplayOutcome::digests`] is the per-query digest sequence
-//! *in trace order* (reassembled from the round-robin split), and
-//! [`ReplayOutcome::digest`] folds per-client chains in client order —
-//! so a TCP replay is digest-comparable against a direct
-//! `Session::serve` replay of the same trace.
+//! A TCP replay runs through the same driver as an in-process one
+//! ([`lcs_workload::InProcess`]): same pacing, same round-robin split,
+//! latency timed by the driver around each request. Its trace-order
+//! digests and per-client chains are therefore directly comparable to an
+//! in-process replay of the same trace, and the latency difference is
+//! what the wire adds.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::thread;
-use std::time::{Duration, Instant};
 
-use lcs_api::ValueDigest;
-use lcs_workload::{LatencyHistogram, QueryEvent};
+use lcs_api::QueryValue;
+use lcs_workload::{QueryEvent, Transport};
 
 use crate::protocol::{Request, Response};
 use crate::ServeError;
 
-/// What a replay measured and observed.
-#[derive(Debug, Clone)]
-pub struct ReplayOutcome {
-    /// All clients' latency sub-histograms merged.
-    pub histogram: LatencyHistogram,
-    /// Per-kind latency histograms, in
-    /// `[construct, verify, quality, mst, repair]` order.
-    pub kind_histograms: [LatencyHistogram; 5],
-    /// Every response's value digest, in trace order.
-    pub digests: Vec<u64>,
-    /// FNV-1a fold of per-client digest chains, in client order — the
-    /// one-number determinism check.
-    pub digest: u64,
-    /// Requests answered (equals the trace length on success).
-    pub queries: u64,
-    /// Wall-clock nanoseconds for the whole replay.
-    pub wall_nanos: u64,
+/// The TCP transport: one line-JSON connection per client to the server
+/// at `addr`, querying the corpus it serves under the label `graph`.
+#[derive(Debug, Clone, Copy)]
+pub struct Tcp<'a> {
+    addr: SocketAddr,
+    graph: &'a str,
 }
 
-impl ReplayOutcome {
-    /// Served queries per second of wall-clock time.
-    pub fn throughput_qps(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.queries as f64 * 1e9 / self.wall_nanos as f64
+impl<'a> Tcp<'a> {
+    /// Queries `graph` on the server at `addr`.
+    pub fn new(addr: SocketAddr, graph: &'a str) -> Self {
+        Tcp { addr, graph }
+    }
+}
+
+impl Transport for Tcp<'_> {
+    type Conn = (TcpStream, BufReader<TcpStream>);
+    type Error = ServeError;
+
+    fn connect(&self) -> Result<Self::Conn, ServeError> {
+        connect(self.addr)
+    }
+
+    /// Sends one query line and reads its answer; the server sends digests
+    /// only, never values. A server-side `Error` response is a
+    /// [`ServeError::Protocol`].
+    fn serve(
+        &self,
+        (writer, reader): &mut Self::Conn,
+        event: &QueryEvent,
+    ) -> Result<(u64, Option<QueryValue>), ServeError> {
+        let request = Request::Query {
+            graph: self.graph.to_string(),
+            kind: event.kind,
+            entry: event.entry,
+        };
+        match exchange(writer, reader, &request)? {
+            Response::Served { digest, .. } => Ok((digest, None)),
+            Response::Error { message } => Err(ServeError::Protocol(message)),
+            other => Err(unexpected("a served response", other)),
         }
     }
 }
@@ -77,183 +80,16 @@ fn exchange(
     Response::parse(&line).map_err(ServeError::Protocol)
 }
 
+/// The protocol error for an answer of the wrong shape.
+fn unexpected(expected: &str, got: Response) -> ServeError {
+    ServeError::Protocol(format!("expected {expected}, got {got:?}"))
+}
+
 /// Opens a connection as a (writer, reader) pair.
 fn connect(addr: SocketAddr) -> Result<(TcpStream, BufReader<TcpStream>), ServeError> {
     let stream = TcpStream::connect(addr)?;
     let reader = BufReader::new(stream.try_clone()?);
     Ok((stream, reader))
-}
-
-/// What one client thread brings back: (slot, digest, latency) per
-/// request in its serving order, plus its chain digest.
-struct ClientRun {
-    client: usize,
-    samples: Vec<(usize, u64, u64, usize)>, // (trace slot, digest, latency nanos, kind index)
-    chain: u64,
-}
-
-fn serve_slice(
-    client: usize,
-    addr: SocketAddr,
-    graph: &str,
-    events: &[(usize, QueryEvent)],
-    think_nanos: u64,
-) -> Result<ClientRun, ServeError> {
-    let (mut writer, mut reader) = connect(addr)?;
-    let mut samples = Vec::with_capacity(events.len());
-    let mut chain = ValueDigest::new();
-    for &(slot, event) in events {
-        let request = Request::Query {
-            graph: graph.to_string(),
-            kind: event.kind,
-            entry: event.entry,
-        };
-        let started = Instant::now();
-        let response = exchange(&mut writer, &mut reader, &request)?;
-        let latency = started.elapsed().as_nanos() as u64;
-        match response {
-            Response::Served { digest, .. } => {
-                chain.push(digest);
-                samples.push((slot, digest, latency, event.kind.index()));
-            }
-            Response::Error { message } => return Err(ServeError::Protocol(message)),
-            other => {
-                return Err(ServeError::Protocol(format!(
-                    "expected a served response, got {other:?}"
-                )))
-            }
-        }
-        if think_nanos > 0 {
-            thread::sleep(Duration::from_nanos(think_nanos));
-        }
-    }
-    Ok(ClientRun {
-        client,
-        samples,
-        chain: chain.value(),
-    })
-}
-
-fn assemble(mut runs: Vec<ClientRun>, trace_len: usize, wall_nanos: u64) -> ReplayOutcome {
-    runs.sort_by_key(|run| run.client);
-    let mut histogram = LatencyHistogram::new();
-    let mut kind_histograms: [LatencyHistogram; 5] = Default::default();
-    let mut digests = vec![0u64; trace_len];
-    let mut fold = ValueDigest::new();
-    let mut queries = 0u64;
-    for run in &runs {
-        for &(slot, digest, latency, kind) in &run.samples {
-            digests[slot] = digest;
-            histogram.record(latency);
-            kind_histograms[kind].record(latency);
-            queries += 1;
-        }
-        fold.push(run.chain);
-    }
-    ReplayOutcome {
-        histogram,
-        kind_histograms,
-        digests,
-        digest: fold.value(),
-        queries,
-        wall_nanos,
-    }
-}
-
-/// Closed-loop replay: `clients` threads round-robin the trace against
-/// `graph` on the server at `addr`, each measuring per-request
-/// round-trip time, with optional per-request think time.
-///
-/// # Errors
-///
-/// The first I/O or protocol error any client hits (a server-side
-/// `Error` response is a [`ServeError::Protocol`]).
-pub fn replay_closed(
-    addr: SocketAddr,
-    graph: &str,
-    trace: &[QueryEvent],
-    clients: usize,
-    think_nanos: u64,
-) -> Result<ReplayOutcome, ServeError> {
-    let clients = clients.max(1);
-    let started = Instant::now();
-    let runs: Vec<Result<ClientRun, ServeError>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let slice: Vec<(usize, QueryEvent)> = trace
-                    .iter()
-                    .enumerate()
-                    .skip(client)
-                    .step_by(clients)
-                    .map(|(slot, &event)| (slot, event))
-                    .collect();
-                scope.spawn(move || serve_slice(client, addr, graph, &slice, think_nanos))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("replay client panicked"))
-            .collect()
-    });
-    let runs: Result<Vec<ClientRun>, ServeError> = runs.into_iter().collect();
-    Ok(assemble(
-        runs?,
-        trace.len(),
-        started.elapsed().as_nanos() as u64,
-    ))
-}
-
-/// Open-loop replay: one connection paces the trace's arrival schedule
-/// and charges completion − scheduled arrival to latency, so a request
-/// that queues behind a slow one pays its queueing delay.
-///
-/// # Errors
-///
-/// The first I/O or protocol error (a server-side `Error` response is a
-/// [`ServeError::Protocol`]).
-pub fn replay_open(
-    addr: SocketAddr,
-    graph: &str,
-    trace: &[QueryEvent],
-) -> Result<ReplayOutcome, ServeError> {
-    let (mut writer, mut reader) = connect(addr)?;
-    let started = Instant::now();
-    let mut samples = Vec::with_capacity(trace.len());
-    let mut chain = ValueDigest::new();
-    for (slot, event) in trace.iter().enumerate() {
-        let scheduled = Duration::from_nanos(event.arrival_nanos);
-        if let Some(wait) = scheduled.checked_sub(started.elapsed()) {
-            if !wait.is_zero() {
-                thread::sleep(wait);
-            }
-        }
-        let request = Request::Query {
-            graph: graph.to_string(),
-            kind: event.kind,
-            entry: event.entry,
-        };
-        let response = exchange(&mut writer, &mut reader, &request)?;
-        let latency = started.elapsed().saturating_sub(scheduled).as_nanos() as u64;
-        match response {
-            Response::Served { digest, .. } => {
-                chain.push(digest);
-                samples.push((slot, digest, latency, event.kind.index()));
-            }
-            Response::Error { message } => return Err(ServeError::Protocol(message)),
-            other => {
-                return Err(ServeError::Protocol(format!(
-                    "expected a served response, got {other:?}"
-                )))
-            }
-        }
-    }
-    let wall_nanos = started.elapsed().as_nanos() as u64;
-    let run = ClientRun {
-        client: 0,
-        samples,
-        chain: chain.value(),
-    };
-    Ok(assemble(vec![run], trace.len(), wall_nanos))
 }
 
 /// Sends `{"op":"shutdown"}` and waits for the draining acknowledgment.
@@ -266,9 +102,7 @@ pub fn shutdown(addr: SocketAddr) -> Result<(), ServeError> {
     let (mut writer, mut reader) = connect(addr)?;
     match exchange(&mut writer, &mut reader, &Request::Shutdown)? {
         Response::Draining => Ok(()),
-        other => Err(ServeError::Protocol(format!(
-            "expected draining, got {other:?}"
-        ))),
+        other => Err(unexpected("draining", other)),
     }
 }
 
@@ -281,9 +115,7 @@ pub fn ping(addr: SocketAddr) -> Result<(), ServeError> {
     let (mut writer, mut reader) = connect(addr)?;
     match exchange(&mut writer, &mut reader, &Request::Ping)? {
         Response::Pong => Ok(()),
-        other => Err(ServeError::Protocol(format!(
-            "expected pong, got {other:?}"
-        ))),
+        other => Err(unexpected("pong", other)),
     }
 }
 
@@ -296,8 +128,6 @@ pub fn fetch_metrics(addr: SocketAddr) -> Result<String, ServeError> {
     let (mut writer, mut reader) = connect(addr)?;
     match exchange(&mut writer, &mut reader, &Request::Metrics)? {
         Response::Metrics { prometheus } => Ok(prometheus),
-        other => Err(ServeError::Protocol(format!(
-            "expected metrics, got {other:?}"
-        ))),
+        other => Err(unexpected("metrics", other)),
     }
 }

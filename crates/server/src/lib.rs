@@ -21,12 +21,12 @@
 //!   build corpora + warm sessions, serve until a `shutdown` line;
 //!   graceful drain (no signals), per-kind latency probes, queue-depth
 //!   gauge, Prometheus export over the `metrics` op.
-//! * **[`client`]** — loopback replay drivers that re-use
-//!   [`lcs_workload::generate_trace`] traces: closed loop (k
-//!   connections, round-robin, per-request round-trip time) and open
-//!   loop (one connection pacing the arrival schedule, queueing delay
-//!   charged). Outcomes carry trace-order digest sequences, so a TCP
-//!   replay is digest-comparable to an in-process replay.
+//! * **[`client`]** — the [`Tcp`] transport, which plugs the server into
+//!   [`lcs_workload::replay`], the same open/closed-loop driver that
+//!   replays traces in process ([`lcs_workload::InProcess`]). One driver
+//!   means one pacing and one latency definition, so a TCP outcome is
+//!   digest- and latency-comparable to an in-process one of the same
+//!   trace; plus one-shot `ping` / `shutdown` / `metrics` helpers.
 //!
 //! # Determinism contract
 //!
@@ -39,8 +39,9 @@
 //! # Quick start
 //!
 //! ```
-//! use lcs_server::{client, ServerConfig, ServerHandle};
-//! use lcs_workload::{generate_trace, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
+//! use lcs_obs::Obs;
+//! use lcs_server::{client, ServerConfig, ServerHandle, Tcp};
+//! use lcs_workload::{generate_trace, replay, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
 //!
 //! let server = ServerHandle::spawn(ServerConfig::new(vec![CorpusSpec {
 //!     family: Family::Grid,
@@ -57,7 +58,8 @@
 //!     7,
 //! );
 //! let trace = generate_trace(&spec, 2).unwrap();
-//! let outcome = client::replay_closed(server.addr(), "grid", &trace, 2, 0).unwrap();
+//! let tcp = Tcp::new(server.addr(), "grid");
+//! let outcome = replay(&tcp, &trace, spec.mode, &Obs::off()).unwrap();
 //! assert_eq!(outcome.queries, 8);
 //! client::shutdown(server.addr()).unwrap();
 //! server.join().unwrap();
@@ -70,7 +72,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{replay_closed, replay_open, ReplayOutcome};
+pub use client::Tcp;
 pub use protocol::{Request, Response};
 pub use server::{ServerConfig, ServerHandle, ServerStats};
 

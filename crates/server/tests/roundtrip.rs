@@ -1,13 +1,14 @@
-//! End-to-end server tests on loopback: replayed traces must be
-//! digest-identical to an in-process `Session::serve_shared` replay,
-//! shutdown must drain gracefully, and the metrics op must export the
-//! serving probes.
+//! End-to-end server tests on loopback: a trace replayed over TCP must
+//! be digest-identical to the same driver's in-process replay on one
+//! warm session, shutdown must drain gracefully, and the metrics op must
+//! export the serving probes.
 
-use lcs_api::Pipeline;
+use lcs_api::{LcsError, Pipeline};
 use lcs_obs::Obs;
-use lcs_server::{client, ServerConfig, ServerHandle};
+use lcs_server::{client, ServeError, ServerConfig, ServerHandle, Tcp};
 use lcs_workload::{
-    generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec,
+    generate_trace, replay, Corpus, CorpusSpec, Family, InProcess, Mode, QueryEvent, QueryMix,
+    WorkloadOutcome, WorkloadSpec,
 };
 
 fn spec_for(family: Family) -> CorpusSpec {
@@ -32,21 +33,42 @@ fn trace_spec(queries: usize, clients: usize) -> WorkloadSpec {
     )
 }
 
-/// The trace replayed directly through one warm session, in trace order.
-fn direct_digests(corpus: &Corpus, spec: &WorkloadSpec) -> Vec<u64> {
+fn closed(clients: usize) -> Mode {
+    Mode::Closed {
+        clients,
+        think_nanos: 0,
+    }
+}
+
+const OPEN: Mode = Mode::Open {
+    mean_interarrival_nanos: 0,
+};
+
+/// `trace` replayed in process on one warm session seeded like the
+/// server's.
+fn direct(corpus: &Corpus, seed: u64, trace: &[QueryEvent], mode: Mode) -> WorkloadOutcome {
     let session = Pipeline::on(corpus.graph())
-        .seed(spec.seed)
+        .seed(seed)
         .build()
         .expect("session builds");
-    let trace = generate_trace(spec, corpus.len()).expect("trace generates");
-    trace
+    replay(&InProcess::new(&session, corpus), trace, mode, &Obs::off()).expect("direct replay runs")
+}
+
+/// `trace` replayed over TCP against `graph` on the server at `addr`.
+fn over_tcp(
+    addr: std::net::SocketAddr,
+    graph: &str,
+    trace: &[QueryEvent],
+    mode: Mode,
+) -> Result<WorkloadOutcome, ServeError> {
+    replay(&Tcp::new(addr, graph), trace, mode, &Obs::off())
+}
+
+fn client_chains(outcome: &WorkloadOutcome) -> Vec<(u64, u64)> {
+    outcome
+        .per_client
         .iter()
-        .map(|event| {
-            session
-                .serve_shared(query_of(corpus, event))
-                .expect("query serves")
-                .digest
-        })
+        .map(|c| (c.queries, c.digest))
         .collect()
 }
 
@@ -55,18 +77,24 @@ fn tcp_replay_is_digest_identical_to_direct_serving() {
     let corpus_spec = spec_for(Family::Grid);
     let corpus = Corpus::build(&corpus_spec).expect("corpus builds");
     let spec = trace_spec(24, 3);
-    let want = direct_digests(&corpus, &spec);
+    let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
 
     let server = ServerHandle::spawn(ServerConfig::new(vec![corpus_spec]).workers(3).seed(11))
         .expect("server spawns");
-    let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
-    let outcome = client::replay_closed(server.addr(), "grid", &trace, 3, 0).expect("replay runs");
-    assert_eq!(outcome.queries, 24);
-    assert_eq!(outcome.digests, want, "wire must add latency, not values");
-
-    // Open loop over the same trace: same digests, same order.
-    let open = client::replay_open(server.addr(), "grid", &trace).expect("open replay runs");
-    assert_eq!(open.digests, want);
+    // Closed loop at three connections, then open loop at one: each must
+    // equal the in-process replay of the same trace in the same mode —
+    // trace-order digests, the fold, and every client's chain.
+    for mode in [closed(3), OPEN] {
+        let tcp = over_tcp(server.addr(), "grid", &trace, mode).expect("tcp replay runs");
+        let want = direct(&corpus, 11, &trace, mode);
+        assert_eq!(tcp.queries, 24);
+        assert_eq!(
+            tcp.digests, want.digests,
+            "wire must add latency, not values"
+        );
+        assert_eq!(tcp.digest, want.digest, "{mode:?}");
+        assert_eq!(client_chains(&tcp), client_chains(&want), "{mode:?}");
+    }
 
     client::shutdown(server.addr()).expect("shutdown acknowledged");
     let stats = server.join().expect("server drains");
@@ -90,8 +118,11 @@ fn scripted_session_pings_queries_and_shuts_down() {
     let spec = trace_spec(8, 1);
     let corpus = Corpus::build(&spec_for(Family::Wheel)).expect("corpus builds");
     let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
-    let outcome = client::replay_closed(addr, "wheel", &trace, 1, 0).expect("replay runs");
-    assert_eq!(outcome.digests, direct_digests(&corpus, &spec));
+    let outcome = over_tcp(addr, "wheel", &trace, closed(1)).expect("replay runs");
+    assert_eq!(
+        outcome.digests,
+        direct(&corpus, 11, &trace, closed(1)).digests
+    );
 
     let prometheus = client::fetch_metrics(addr).expect("metrics export");
     assert!(
@@ -120,24 +151,32 @@ fn unknown_graphs_kinds_and_entries_are_typed_errors() {
     let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
 
     // Wrong graph label → protocol error naming the known graphs.
-    let err = client::replay_closed(addr, "grid", &trace[..1], 1, 0).unwrap_err();
+    let err = over_tcp(addr, "grid", &trace[..1], closed(1)).unwrap_err();
     assert!(err.to_string().contains("unknown graph"), "got: {err}");
 
     // Out-of-range entry → protocol error, connection stays serviceable.
     let mut event = trace[0];
     event.entry = 99;
-    let err = client::replay_closed(addr, "torus", &[event], 1, 0).unwrap_err();
+    let err = over_tcp(addr, "torus", &[event], closed(1)).unwrap_err();
     assert!(err.to_string().contains("out of range"), "got: {err}");
 
     // Repair against a corpus built without repair cases.
     let mut repair = trace[0];
     repair.kind = lcs_workload::QueryKind::Repair;
     repair.entry = 0;
-    let err = client::replay_closed(addr, "torus", &[repair], 1, 0).unwrap_err();
+    let err = over_tcp(addr, "torus", &[repair], closed(1)).unwrap_err();
     assert!(err.to_string().contains("repair"), "got: {err}");
 
+    // Zero closed-loop clients → the driver's config error, before any
+    // connection is opened.
+    let err = over_tcp(addr, "torus", &trace, closed(0)).unwrap_err();
+    assert!(
+        matches!(err, ServeError::Lcs(LcsError::Config { .. })),
+        "got: {err}"
+    );
+
     // The server survives all of that and still answers.
-    let outcome = client::replay_closed(addr, "torus", &trace, 1, 0).expect("replay runs");
+    let outcome = over_tcp(addr, "torus", &trace, closed(1)).expect("replay runs");
     assert_eq!(outcome.queries, 4);
 
     client::shutdown(addr).expect("shutdown acknowledged");

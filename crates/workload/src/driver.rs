@@ -1,30 +1,33 @@
-//! The open- and closed-loop workload drivers.
+//! The one replay driver. A [`Transport`] opens client connections and
+//! serves one event on a connection; [`replay`] does everything else —
+//! pacing, the round-robin client split, timing, digest chains and
+//! histograms — so a replay means the same thing on every transport:
 //!
-//! Both drivers replay one deterministic trace against warm
-//! [`Session`]s and record into [`LatencyHistogram`]s; they differ only
-//! in pacing and in what "latency" means:
+//! * **Open loop** — one connection, queries served in trace order, each
+//!   held (by spinning) until its scheduled arrival; latency is
+//!   *completion − scheduled arrival*, so a query that arrives while its
+//!   predecessor still runs pays the queueing delay (no coordinated
+//!   omission — expensive minorities push the measured tail out).
+//! * **Closed loop** — `k` client threads with one connection each,
+//!   serving the trace round-robin (client `i` takes events
+//!   `i, i+k, i+2k, …`) with optional think-time; latency is each call as
+//!   the driver times it.
 //!
-//! * **Open loop** — one warm session, queries served in trace order, and
-//!   each query's latency is *completion − scheduled arrival*. A query
-//!   that arrives while the previous one is still running pays the
-//!   queueing delay, so expensive minorities (constructs in a mixed
-//!   trace) push the measured tail out — this is the
-//!   coordinated-omission-free measurement the E13 tier reads.
-//! * **Closed loop** — `k` client threads, each with its own warm session
-//!   seeded identically, serving the trace round-robin (client `i` takes
-//!   events `i, i+k, i+2k, …`) with optional think-time; latency is
-//!   per-query service time.
+//! [`InProcess`] serves every client from one warm [`Session`] through
+//! [`Session::serve_shared`], as the server's workers do;
+//! `lcs_server::client::Tcp` serves over the wire, so the difference
+//! between the two on one trace is the cost of the wire.
 //!
 //! Determinism: result *values* are pure functions of (graph, partition,
 //! strategy, session seed), so each client's digest chain — and the
-//! outcome digest, which folds per-client digests in client order — is
-//! reproducible at any `LCS_THREADS`, on any machine, under any
-//! interleaving. Timings vary; values and digests do not.
+//! outcome digest, which folds them in client order — is reproducible at
+//! any `LCS_THREADS`, under any interleaving, over either transport.
 
+use std::thread;
 use std::time::{Duration, Instant};
 
 use lcs_api::{
-    Query, QueryValue, Result, Served, Session, ShortcutStrategy, Strategy, ValueDigest,
+    LcsError, Pipeline, Query, QueryValue, Session, ShortcutStrategy, Strategy, ValueDigest,
 };
 use lcs_obs::Obs;
 
@@ -47,25 +50,28 @@ pub struct ClientOutcome {
     pub digest: u64,
 }
 
-/// The merged result of one workload run.
+/// The merged result of one replay.
 #[derive(Debug, Clone)]
 pub struct WorkloadOutcome {
     /// All clients' histograms merged.
     pub histogram: LatencyHistogram,
+    /// Per-kind latency histograms, in
+    /// `[construct, verify, quality, mst, repair]` order; their counts are
+    /// the trace's per-kind query counts.
+    pub kind_histograms: [LatencyHistogram; 5],
     /// Per-client sub-outcomes, in client-index order.
     pub per_client: Vec<ClientOutcome>,
     /// Total queries served (the trace length).
     pub queries: u64,
-    /// Per-kind served counts, in
-    /// `[construct, verify, quality, mst, repair]` order.
-    pub kind_counts: [u64; 5],
     /// Wall-clock nanoseconds of the whole run.
     pub wall_nanos: u64,
     /// FNV-1a fold of the per-client digests in client order — the
     /// one-number determinism check: same spec + corpus ⇒ same digest.
     pub digest: u64,
-    /// Every query's result values in trace order, when
-    /// [`WorkloadSpec::keep_results`] asked for them.
+    /// Every query's result digest, in trace order.
+    pub digests: Vec<u64>,
+    /// Every query's result values in trace order, when the transport
+    /// returned them (see [`InProcess::keep_values`]).
     pub results: Option<Vec<QueryValue>>,
 }
 
@@ -76,6 +82,86 @@ impl WorkloadOutcome {
             0.0
         } else {
             self.queries as f64 * 1e9 / self.wall_nanos as f64
+        }
+    }
+}
+
+/// How the driver reaches a server: open a client connection, serve one
+/// trace event on it. Everything else about a replay — pacing, the
+/// client split, timing and digests — is [`replay`]'s.
+pub trait Transport: Sync {
+    /// One client's connection. Each closed-loop client opens its own on
+    /// its own thread.
+    type Conn;
+    /// What connecting or serving can fail with. The driver's own
+    /// validation errors arrive through `From<LcsError>`.
+    type Error: From<LcsError> + Send;
+
+    /// Opens one client connection.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the transport fails to connect with.
+    fn connect(&self) -> Result<Self::Conn, Self::Error>;
+
+    /// Serves `event` on `conn`: the result's digest, plus its values when
+    /// the transport has them.
+    ///
+    /// # Errors
+    ///
+    /// The error the query or the transport reports.
+    fn serve(
+        &self,
+        conn: &mut Self::Conn,
+        event: &QueryEvent,
+    ) -> Result<(u64, Option<QueryValue>), Self::Error>;
+}
+
+/// The in-process transport: one warm session shared by every client
+/// through [`Session::serve_shared`], as the server's workers share
+/// theirs. Connections cost nothing. Serving panics, as [`query_of`]
+/// does, on an event the corpus cannot answer; [`run_workload`] checks
+/// its trace against the corpus first.
+#[derive(Clone, Copy)]
+pub struct InProcess<'a, 'g> {
+    session: &'a Session<'g>,
+    corpus: &'a Corpus,
+    keep_values: bool,
+}
+
+impl<'a, 'g> InProcess<'a, 'g> {
+    /// Serves events against `corpus` entries on `session`, digests only.
+    pub fn new(session: &'a Session<'g>, corpus: &'a Corpus) -> Self {
+        InProcess {
+            session,
+            corpus,
+            keep_values: false,
+        }
+    }
+
+    /// Also returns every query's result values
+    /// ([`Session::serve_shared_full`]), for equivalence tests.
+    pub fn keep_values(mut self, keep: bool) -> Self {
+        self.keep_values = keep;
+        self
+    }
+}
+
+impl Transport for InProcess<'_, '_> {
+    type Conn = ();
+    type Error = LcsError;
+
+    fn connect(&self) -> Result<(), LcsError> {
+        Ok(())
+    }
+
+    fn serve(&self, _: &mut (), event: &QueryEvent) -> Result<(u64, Option<QueryValue>), LcsError> {
+        let query = query_of(self.corpus, event);
+        if self.keep_values {
+            let (served, value) = self.session.serve_shared_full(query)?;
+            Ok((served.digest, Some(value)))
+        } else {
+            Ok((self.session.serve_shared(query)?.digest, None))
         }
     }
 }
@@ -125,172 +211,153 @@ pub fn query_of<'a>(corpus: &'a Corpus, event: &QueryEvent) -> Query<'a> {
     }
 }
 
-/// Builds one warm serving session over the corpus graph; both drivers
-/// (and every closed-loop client) go through here so their sessions are
-/// configured identically. The shared recorder handle makes every served
-/// query report its `serve/{kind}/*` probes (counter adds commute, so the
-/// snapshot's counters stay client-order independent).
-fn warm_session<'g>(corpus: &'g Corpus, spec: &WorkloadSpec, obs: &Obs) -> Result<Session<'g>> {
-    lcs_api::Pipeline::on(corpus.graph())
-        .seed(spec.seed)
-        .execution(spec.execution)
-        .threads(spec.threads)
-        .recorder(obs.clone())
-        .build()
-}
-
-/// Runs the workload described by `spec` against `corpus` and returns the
-/// merged outcome. Dispatches on [`WorkloadSpec::mode`].
+/// Runs the workload described by `spec` against `corpus`: generates the
+/// trace, warms one session over the corpus graph, and [`replay`]s the
+/// trace on it through [`InProcess`].
 ///
 /// # Errors
 ///
 /// [`lcs_api::LcsError::Config`] for degenerate specs (empty corpus, zero
 /// queries, all-zero mix, zero clients — see
 /// [`generate_trace`]); otherwise the first
-/// query error a session reports.
-pub fn run_workload(corpus: &Corpus, spec: &WorkloadSpec) -> Result<WorkloadOutcome> {
+/// query error the session reports.
+pub fn run_workload(corpus: &Corpus, spec: &WorkloadSpec) -> lcs_api::Result<WorkloadOutcome> {
     run_workload_obs(corpus, spec, &Obs::off())
 }
 
-/// [`run_workload`] with an instrumentation handle. On top of the
-/// per-query `serve/{kind}/*` probes every session reports, the drivers
-/// add their own: `workload/runs` / `workload/queries` counters, the
-/// merged latency distribution (`workload/latency` timer), and — open
-/// loop only — the scheduled-vs-start lag timer (`workload/open/lag`)
-/// and the high-water queue depth (`workload/open/max_queue_depth`
-/// gauge). Counters are trace facts, identical for every thread and
-/// client count; timers and the queue-depth gauge are measurements.
+/// [`run_workload`] with an instrumentation handle. The session reports
+/// every served query's `serve/{kind}/*` probes into it, and [`replay`]
+/// adds the driver's own.
 pub fn run_workload_obs(
     corpus: &Corpus,
     spec: &WorkloadSpec,
     obs: &Obs,
-) -> Result<WorkloadOutcome> {
+) -> lcs_api::Result<WorkloadOutcome> {
     let trace = generate_trace(spec, corpus.len())?;
-    let kind_counts = count_kinds(&trace);
-    if kind_counts[QueryKind::Repair.index()] > 0
+    if trace.iter().any(|e| e.kind == QueryKind::Repair)
         && corpus.entries().iter().any(|e| e.repair.is_none())
     {
-        return Err(lcs_api::LcsError::Config {
+        return Err(LcsError::Config {
             reason: "query mix has a repair weight but the corpus has no pre-generated \
                      repair cases; build it with Corpus::build_with_repair"
                 .to_string(),
         });
     }
+    let session = Pipeline::on(corpus.graph())
+        .seed(spec.seed)
+        .execution(spec.execution)
+        .threads(spec.threads)
+        .recorder(obs.clone())
+        .build()?;
+    let transport = InProcess::new(&session, corpus).keep_values(spec.keep_results);
+    replay(&transport, &trace, spec.mode, obs)
+}
+
+/// Replays `trace` through `transport`, paced by `mode`, and returns the
+/// merged outcome.
+///
+/// With `obs` on, the driver records `workload/runs` /
+/// `workload/queries` counters, the merged latency distribution
+/// (`workload/latency` timer), the closed-loop client count
+/// (`workload/clients` gauge) and — open loop only — the
+/// scheduled-vs-start lag timer (`workload/open/lag`) and the high-water
+/// queue depth (`workload/open/max_queue_depth` gauge). Counters are
+/// trace facts, identical for every thread and client count; timers and
+/// the queue-depth gauge are measurements.
+///
+/// # Errors
+///
+/// [`LcsError::Config`] for a closed loop of zero clients; otherwise the
+/// first error a client hits, in client order.
+pub fn replay<T: Transport>(
+    transport: &T,
+    trace: &[QueryEvent],
+    mode: Mode,
+    obs: &Obs,
+) -> Result<WorkloadOutcome, T::Error> {
+    mode.check()?;
     if obs.is_on() {
         obs.counter_add("workload/runs", 1);
         obs.counter_add("workload/queries", trace.len() as u64);
     }
-    let outcome = match spec.mode {
-        Mode::Open { .. } => run_open(corpus, spec, &trace, kind_counts, obs),
+    let start = Instant::now();
+    let runs = match mode {
+        Mode::Open { .. } => vec![open_loop(transport, trace, obs)?],
         Mode::Closed {
             clients,
             think_nanos,
-        } => run_closed(corpus, spec, &trace, kind_counts, clients, think_nanos, obs),
-    }?;
+        } => {
+            if obs.is_on() {
+                obs.gauge_set("workload/clients", clients as u64);
+            }
+            closed_loop(transport, trace, clients, Duration::from_nanos(think_nanos))?
+        }
+    };
+    let outcome = assemble(trace, runs, start.elapsed().as_nanos() as u64);
     if obs.is_on() {
         obs.timer_merge("workload/latency", &outcome.histogram);
     }
     Ok(outcome)
 }
 
-fn count_kinds(trace: &[QueryEvent]) -> [u64; 5] {
-    let mut counts = [0u64; 5];
-    for e in trace {
-        counts[e.kind.index()] += 1;
-    }
-    counts
+/// One served event, as its client saw it.
+struct Sample {
+    slot: usize,
+    digest: u64,
+    latency_nanos: u64,
+    value: Option<QueryValue>,
 }
 
-/// What one client's serving loop produces: its histogram, the number of
-/// queries it served, its digest chain, and (when kept) its result values.
-type ClientRun = (LatencyHistogram, u64, u64, Vec<QueryValue>);
-
-/// One client's serving loop over `events`, shared by both drivers.
-/// `latency_of` chooses the measurement (service time vs. schedule-based).
-fn serve_events<'a>(
-    session: &mut Session<'_>,
-    corpus: &Corpus,
-    events: impl Iterator<Item = &'a QueryEvent>,
-    keep_results: bool,
-    mut before: impl FnMut(&QueryEvent),
-    mut latency_of: impl FnMut(&QueryEvent, &Served) -> u64,
-    think_nanos: u64,
-) -> Result<ClientRun> {
-    let mut histogram = LatencyHistogram::new();
-    let mut digest = ValueDigest::new();
-    let mut served_count = 0u64;
-    let mut values = Vec::new();
-    for event in events {
-        before(event);
-        let query = query_of(corpus, event);
-        let served = if keep_results {
-            let (served, value) = session.serve_full(query)?;
-            values.push(value);
-            served
-        } else {
-            session.serve(query)?
-        };
-        histogram.record(latency_of(event, &served));
-        digest.push(served.digest);
-        served_count += 1;
-        if think_nanos > 0 {
-            std::thread::sleep(Duration::from_nanos(think_nanos));
+/// One client's serving loop over the trace `slots`. `due` waits until a
+/// slot may be served and returns the instant its latency counts from.
+fn serve_client<T: Transport>(
+    transport: &T,
+    trace: &[QueryEvent],
+    slots: impl Iterator<Item = usize>,
+    mut due: impl FnMut(usize) -> Instant,
+    think: Duration,
+) -> Result<Vec<Sample>, T::Error> {
+    let mut conn = transport.connect()?;
+    let mut samples = Vec::new();
+    for slot in slots {
+        let from = due(slot);
+        let (digest, value) = transport.serve(&mut conn, &trace[slot])?;
+        samples.push(Sample {
+            slot,
+            digest,
+            latency_nanos: from.elapsed().as_nanos() as u64,
+            value,
+        });
+        if !think.is_zero() {
+            thread::sleep(think);
         }
     }
-    Ok((histogram, served_count, digest.value(), values))
+    Ok(samples)
 }
 
-fn finish(
-    per_client: Vec<ClientOutcome>,
-    kind_counts: [u64; 5],
-    wall_nanos: u64,
-    results: Option<Vec<QueryValue>>,
-) -> WorkloadOutcome {
-    let mut histogram = LatencyHistogram::new();
-    let mut digest = ValueDigest::new();
-    let mut queries = 0u64;
-    for client in &per_client {
-        histogram.merge(&client.histogram);
-        digest.push(client.digest);
-        queries += client.queries;
-    }
-    WorkloadOutcome {
-        histogram,
-        per_client,
-        queries,
-        kind_counts,
-        wall_nanos,
-        digest: digest.value(),
-        results,
-    }
-}
-
-fn run_open(
-    corpus: &Corpus,
-    spec: &WorkloadSpec,
+fn open_loop<T: Transport>(
+    transport: &T,
     trace: &[QueryEvent],
-    kind_counts: [u64; 5],
     obs: &Obs,
-) -> Result<WorkloadOutcome> {
-    let mut session = warm_session(corpus, spec, obs)?;
+) -> Result<Vec<Sample>, T::Error> {
     // Driver probes accumulate into plain locals on the serving path (a
     // histogram of start lags and a queue-depth high-water mark) and hit
     // the registry once, after the loop — the hot path stays lock-free.
-    let probe_on = obs.is_on();
-    let mut lag_hist = probe_on.then(LatencyHistogram::new);
+    let mut lag_hist = obs.is_on().then(LatencyHistogram::new);
     let mut max_depth = 0u64;
-    let mut next_index = 0usize;
     let start = Instant::now();
-    let (histogram, served, digest, values) = serve_events(
-        &mut session,
-        corpus,
-        trace.iter(),
-        spec.keep_results,
-        // Hold each query until its scheduled arrival. If the schedule
-        // has fallen behind (the previous query overran), fire at once —
-        // the latency measurement below charges the backlog.
-        |event| {
-            while (start.elapsed().as_nanos() as u64) < event.arrival_nanos {
+    let samples = serve_client(
+        transport,
+        trace,
+        0..trace.len(),
+        // Hold each query until its scheduled arrival. If the schedule has
+        // fallen behind (the previous query overran), fire at once — the
+        // latency counts from the scheduled arrival, so it charges the
+        // backlog.
+        |slot| {
+            let arrival = trace[slot].arrival_nanos;
+            let scheduled = start + Duration::from_nanos(arrival);
+            while Instant::now() < scheduled {
                 std::hint::spin_loop();
             }
             if let Some(hist) = &mut lag_hist {
@@ -298,113 +365,89 @@ fn run_open(
                 // How late the query actually starts relative to its
                 // scheduled arrival: ~0 when the loop keeps up, the
                 // accumulated backlog when it doesn't.
-                hist.record(now.saturating_sub(event.arrival_nanos));
+                hist.record(now.saturating_sub(arrival));
                 // Queue depth at start of service: this event plus every
                 // later one already due (the trace is arrival-sorted).
-                let depth = trace[next_index..]
+                let depth = trace[slot..]
                     .iter()
                     .take_while(|e| e.arrival_nanos <= now)
                     .count() as u64;
                 max_depth = max_depth.max(depth);
             }
-            next_index += 1;
+            scheduled
         },
-        // Completion minus *scheduled* arrival: queueing delay included.
-        |event, _| (start.elapsed().as_nanos() as u64).saturating_sub(event.arrival_nanos),
-        0,
+        Duration::ZERO,
     )?;
-    let wall_nanos = start.elapsed().as_nanos() as u64;
     if let Some(hist) = &lag_hist {
         obs.timer_merge("workload/open/lag", hist);
         obs.gauge_max("workload/open/max_queue_depth", max_depth);
     }
-    let client = ClientOutcome {
-        client: 0,
-        queries: served,
-        histogram,
-        digest,
-    };
-    Ok(finish(
-        vec![client],
-        kind_counts,
-        wall_nanos,
-        spec.keep_results.then_some(values),
-    ))
+    Ok(samples)
 }
 
-fn run_closed(
-    corpus: &Corpus,
-    spec: &WorkloadSpec,
+fn closed_loop<T: Transport>(
+    transport: &T,
     trace: &[QueryEvent],
-    kind_counts: [u64; 5],
     clients: usize,
-    think_nanos: u64,
-    obs: &Obs,
-) -> Result<WorkloadOutcome> {
-    if obs.is_on() {
-        obs.gauge_set("workload/clients", clients as u64);
-    }
-    let start = Instant::now();
-    // Each client serves its round-robin share on its own warm session.
-    // `thread::scope` lets every client borrow the corpus and the trace
-    // (and share the recorder handle — the registry is behind a mutex the
-    // serving loop only touches at query granularity).
-    let client_runs: Vec<Result<ClientRun>> = std::thread::scope(|scope| {
+    think: Duration,
+) -> Result<Vec<Vec<Sample>>, T::Error> {
+    // `thread::scope` lets every client borrow the transport and the trace;
+    // the first error in client order wins.
+    thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let obs = &*obs;
+            .map(|client| {
                 scope.spawn(move || {
-                    let mut session = warm_session(corpus, spec, obs)?;
-                    serve_events(
-                        &mut session,
-                        corpus,
-                        trace.iter().skip(c).step_by(clients),
-                        spec.keep_results,
-                        |_| {},
-                        |_, served| served.wall_nanos,
-                        think_nanos,
-                    )
+                    let slots = (client..trace.len()).step_by(clients);
+                    serve_client(transport, trace, slots, |_| Instant::now(), think)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("workload client thread panicked"))
+            .map(|handle| handle.join().expect("replay client thread panicked"))
             .collect()
-    });
-    let wall_nanos = start.elapsed().as_nanos() as u64;
+    })
+}
 
-    let mut per_client = Vec::with_capacity(clients);
-    let mut slots: Vec<Option<QueryValue>> = if spec.keep_results {
-        std::iter::repeat_with(|| None).take(trace.len()).collect()
-    } else {
-        Vec::new()
-    };
-    for (c, run) in client_runs.into_iter().enumerate() {
-        let (histogram, served, digest, values) = run?;
-        if spec.keep_results {
-            // Client c served events c, c+k, …: reassemble trace order.
-            for (value, slot) in values
-                .into_iter()
-                .zip(slots.iter_mut().skip(c).step_by(clients))
-            {
-                *slot = Some(value);
-            }
+/// Merges the clients' samples (in client order) into the outcome.
+fn assemble(trace: &[QueryEvent], runs: Vec<Vec<Sample>>, wall_nanos: u64) -> WorkloadOutcome {
+    let mut histogram = LatencyHistogram::new();
+    let mut kind_histograms: [LatencyHistogram; 5] = Default::default();
+    let mut digests = vec![0u64; trace.len()];
+    let mut values: Vec<Option<QueryValue>> =
+        std::iter::repeat_with(|| None).take(trace.len()).collect();
+    let mut fold = ValueDigest::new();
+    let mut per_client = Vec::with_capacity(runs.len());
+    for (client, samples) in runs.into_iter().enumerate() {
+        let mut client_histogram = LatencyHistogram::new();
+        let mut chain = ValueDigest::new();
+        let queries = samples.len() as u64;
+        for sample in samples {
+            client_histogram.record(sample.latency_nanos);
+            kind_histograms[trace[sample.slot].kind.index()].record(sample.latency_nanos);
+            chain.push(sample.digest);
+            digests[sample.slot] = sample.digest;
+            values[sample.slot] = sample.value;
         }
+        histogram.merge(&client_histogram);
+        fold.push(chain.value());
         per_client.push(ClientOutcome {
-            client: c,
-            queries: served,
-            histogram,
-            digest,
+            client,
+            queries,
+            histogram: client_histogram,
+            digest: chain.value(),
         });
     }
-    let results = spec.keep_results.then(|| {
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every trace slot served exactly once"))
-            .collect()
-    });
-    Ok(finish(per_client, kind_counts, wall_nanos, results))
+    WorkloadOutcome {
+        histogram,
+        kind_histograms,
+        per_client,
+        queries: trace.len() as u64,
+        wall_nanos,
+        digest: fold.value(),
+        digests,
+        results: values.into_iter().collect(),
+    }
 }
 
 #[cfg(test)]
@@ -413,41 +456,50 @@ mod tests {
     use crate::corpus::{CorpusSpec, Family};
     use crate::spec::QueryMix;
 
-    fn small_corpus() -> Corpus {
-        Corpus::build(&CorpusSpec {
+    const OPEN: Mode = Mode::Open {
+        mean_interarrival_nanos: 0,
+    };
+
+    fn closed(clients: usize) -> Mode {
+        Mode::Closed {
+            clients,
+            think_nanos: 0,
+        }
+    }
+
+    fn corpus_spec() -> CorpusSpec {
+        CorpusSpec {
             family: Family::Grid,
             size: 4,
             entries: 2,
             seed: 3,
-        })
-        .unwrap()
+        }
+    }
+
+    fn small_corpus() -> Corpus {
+        Corpus::build(&corpus_spec()).unwrap()
+    }
+
+    fn is_config_error(result: lcs_api::Result<WorkloadOutcome>) -> bool {
+        matches!(result, Err(LcsError::Config { .. }))
     }
 
     #[test]
     fn open_and_closed_runs_complete_and_agree_on_values() {
         let corpus = small_corpus();
-        let open = WorkloadSpec::new(
-            Mode::Open {
-                mean_interarrival_nanos: 0,
-            },
-            12,
-            1.0,
-            QueryMix::mixed(),
-            5,
-        )
-        .keep_results(true);
-        let closed = WorkloadSpec {
-            mode: Mode::Closed {
-                clients: 2,
-                think_nanos: 0,
-            },
-            ..open
-        };
+        let open = WorkloadSpec::new(OPEN, 12, 1.0, QueryMix::mixed(), 5).keep_results(true);
         let a = run_workload(&corpus, &open).unwrap();
-        let b = run_workload(&corpus, &closed).unwrap();
+        let b = run_workload(
+            &corpus,
+            &WorkloadSpec {
+                mode: closed(2),
+                ..open
+            },
+        )
+        .unwrap();
         assert_eq!(a.queries, 12);
         assert_eq!(b.queries, 12);
-        assert_eq!(a.kind_counts.iter().sum::<u64>(), 12);
+        assert_eq!(a.kind_histograms.iter().map(|h| h.count()).sum::<u64>(), 12);
         // Same spec modulo pacing ⇒ same trace ⇒ same values.
         assert_eq!(a.results, b.results);
         assert_eq!(a.histogram.count(), 12);
@@ -458,16 +510,7 @@ mod tests {
     #[test]
     fn reruns_have_identical_digests() {
         let corpus = small_corpus();
-        let spec = WorkloadSpec::new(
-            Mode::Closed {
-                clients: 3,
-                think_nanos: 0,
-            },
-            15,
-            0.0,
-            QueryMix::consume(),
-            8,
-        );
+        let spec = WorkloadSpec::new(closed(3), 15, 0.0, QueryMix::consume(), 8);
         let a = run_workload(&corpus, &spec).unwrap();
         let b = run_workload(&corpus, &spec).unwrap();
         assert_eq!(a.digest, b.digest);
@@ -480,44 +523,15 @@ mod tests {
     #[test]
     fn degenerate_specs_are_config_errors() {
         let corpus = small_corpus();
-        let zero_queries = WorkloadSpec::new(
-            Mode::Open {
-                mean_interarrival_nanos: 0,
-            },
-            0,
-            0.0,
-            QueryMix::consume(),
-            1,
-        );
-        assert!(matches!(
-            run_workload(&corpus, &zero_queries),
-            Err(lcs_api::LcsError::Config { .. })
-        ));
-        let zero_clients = WorkloadSpec::new(
-            Mode::Closed {
-                clients: 0,
-                think_nanos: 0,
-            },
-            5,
-            0.0,
-            QueryMix::consume(),
-            1,
-        );
-        assert!(matches!(
-            run_workload(&corpus, &zero_clients),
-            Err(lcs_api::LcsError::Config { .. })
-        ));
+        let zero_queries = WorkloadSpec::new(OPEN, 0, 0.0, QueryMix::consume(), 1);
+        assert!(is_config_error(run_workload(&corpus, &zero_queries)));
+        let zero_clients = WorkloadSpec::new(closed(0), 5, 0.0, QueryMix::consume(), 1);
+        assert!(is_config_error(run_workload(&corpus, &zero_clients)));
     }
 
     #[test]
     fn repair_mix_serves_and_agrees_across_drivers() {
-        let corpus = Corpus::build_with_repair(&CorpusSpec {
-            family: Family::Grid,
-            size: 4,
-            entries: 2,
-            seed: 3,
-        })
-        .unwrap();
+        let corpus = Corpus::build_with_repair(&corpus_spec()).unwrap();
         let mix = QueryMix {
             construct: 0,
             verify: 2,
@@ -525,68 +539,115 @@ mod tests {
             mst: 0,
             repair: 2,
         };
-        let open = WorkloadSpec::new(
-            Mode::Open {
-                mean_interarrival_nanos: 0,
-            },
-            10,
-            1.0,
-            mix,
-            7,
-        )
-        .keep_results(true);
-        let closed = WorkloadSpec {
-            mode: Mode::Closed {
-                clients: 2,
-                think_nanos: 0,
-            },
-            ..open
-        };
+        let open = WorkloadSpec::new(OPEN, 10, 1.0, mix, 7).keep_results(true);
         let a = run_workload(&corpus, &open).unwrap();
-        let b = run_workload(&corpus, &closed).unwrap();
-        assert_eq!(a.kind_counts[QueryKind::Repair.index()], 4);
+        let b = run_workload(
+            &corpus,
+            &WorkloadSpec {
+                mode: closed(2),
+                ..open
+            },
+        )
+        .unwrap();
+        assert_eq!(a.kind_histograms[QueryKind::Repair.index()].count(), 4);
         assert_eq!(a.results, b.results);
         assert_eq!(a.digest, run_workload(&corpus, &open).unwrap().digest);
     }
 
     #[test]
     fn repair_weight_without_repair_cases_is_a_config_error() {
-        let corpus = small_corpus();
-        let spec = WorkloadSpec::new(
-            Mode::Open {
-                mean_interarrival_nanos: 0,
-            },
-            5,
-            0.0,
-            QueryMix {
-                construct: 0,
-                verify: 1,
-                quality: 0,
-                mst: 0,
-                repair: 1,
-            },
-            4,
-        );
-        assert!(matches!(
-            run_workload(&corpus, &spec),
-            Err(lcs_api::LcsError::Config { .. })
-        ));
+        let mix = QueryMix {
+            construct: 0,
+            verify: 1,
+            quality: 0,
+            mst: 0,
+            repair: 1,
+        };
+        let spec = WorkloadSpec::new(OPEN, 5, 0.0, mix, 4);
+        assert!(is_config_error(run_workload(&small_corpus(), &spec)));
+    }
+
+    /// Serves `digest = slot` (the test trace stores each event's slot in
+    /// its entry) and fails on one chosen slot with `FakeError(Some(slot))`;
+    /// the driver's own errors arrive as `FakeError(None)`.
+    struct FakeTransport(Option<usize>);
+
+    #[derive(Debug, PartialEq)]
+    struct FakeError(Option<usize>);
+
+    impl From<LcsError> for FakeError {
+        fn from(_: LcsError) -> Self {
+            FakeError(None)
+        }
+    }
+
+    impl Transport for FakeTransport {
+        type Conn = ();
+        type Error = FakeError;
+
+        fn connect(&self) -> Result<(), FakeError> {
+            Ok(())
+        }
+
+        fn serve(
+            &self,
+            _: &mut (),
+            e: &QueryEvent,
+        ) -> Result<(u64, Option<QueryValue>), FakeError> {
+            match self.0 {
+                Some(slot) if slot == e.entry => Err(FakeError(Some(slot))),
+                _ => Ok((e.entry as u64, None)),
+            }
+        }
+    }
+
+    #[test]
+    fn replay_splits_round_robin_and_reassembles_trace_order() {
+        use QueryKind::{Construct, Quality, Repair, Verify};
+        let kinds = [Verify, Construct, Verify, Repair, Quality];
+        let trace: Vec<QueryEvent> = (0..kinds.len())
+            .map(|slot| QueryEvent {
+                kind: kinds[slot],
+                entry: slot,
+                arrival_nanos: 0,
+            })
+            .collect();
+        let off = Obs::off();
+        for mode in [closed(1), closed(3), closed(7), OPEN] {
+            let outcome = replay(&FakeTransport(None), &trace, mode, &off).unwrap();
+            assert_eq!(outcome.digests, [0, 1, 2, 3, 4], "{mode:?}");
+            assert_eq!(outcome.results, None, "the fake returns no values");
+            let k = mode.clients();
+            assert_eq!(outcome.per_client.len(), k);
+            let mut fold = ValueDigest::new();
+            for (i, client) in outcome.per_client.iter().enumerate() {
+                // Client i serves slots i, i+k, …, in that order.
+                let mut chain = ValueDigest::new();
+                (i..trace.len())
+                    .step_by(k)
+                    .for_each(|slot| chain.push(slot as u64));
+                let served = (i..trace.len()).step_by(k).count() as u64;
+                assert_eq!(client.queries, served, "{mode:?} client {i}");
+                assert_eq!(client.histogram.count(), served);
+                assert_eq!(client.digest, chain.value(), "{mode:?} client {i}");
+                fold.push(chain.value());
+            }
+            assert_eq!(outcome.digest, fold.value());
+            for kind in QueryKind::ALL {
+                let want = kinds.iter().filter(|&&k| k == kind).count() as u64;
+                assert_eq!(outcome.kind_histograms[kind.index()].count(), want);
+            }
+            let failed = replay(&FakeTransport(Some(3)), &trace, mode, &off);
+            assert_eq!(failed.unwrap_err(), FakeError(Some(3)), "{mode:?}");
+        }
+        let none = replay(&FakeTransport(None), &trace, closed(0), &off);
+        assert_eq!(none.unwrap_err(), FakeError(None));
     }
 
     #[test]
     fn more_clients_than_queries_is_fine() {
-        let corpus = small_corpus();
-        let spec = WorkloadSpec::new(
-            Mode::Closed {
-                clients: 7,
-                think_nanos: 0,
-            },
-            3,
-            0.0,
-            QueryMix::consume(),
-            2,
-        );
-        let outcome = run_workload(&corpus, &spec).unwrap();
+        let spec = WorkloadSpec::new(closed(7), 3, 0.0, QueryMix::consume(), 2);
+        let outcome = run_workload(&small_corpus(), &spec).unwrap();
         assert_eq!(outcome.queries, 3);
         assert_eq!(outcome.per_client.len(), 7);
         assert!(outcome.per_client.iter().skip(3).all(|c| c.queries == 0));

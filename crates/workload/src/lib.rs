@@ -16,19 +16,25 @@
 //!   exactly the skew that makes construction-cost variance across
 //!   partitions visible in the tail.
 //! * **[`QueryMix`] / [`WorkloadSpec`] / [`Mode`]** — the traffic knobs:
-//!   integer query-mix weights (construct / verify / quality / mst)
+//!   integer query-mix weights (construct / verify / quality / mst /
+//!   repair)
 //!   apportioned *exactly* over a trace, plus either an open-loop arrival
 //!   schedule (Poisson interarrivals) or a closed-loop client count with
 //!   think-time.
 //! * **[`generate_trace`]** — the seeded trace generator; same seed ⇒
 //!   byte-identical [`QueryEvent`] sequence, always.
-//! * **[`run_workload`]** — the driver. Open loop replays the arrival
-//!   schedule on one warm session and measures completion − scheduled
-//!   arrival (so queueing delay counts — no coordinated omission); closed
-//!   loop runs k client threads, each with its own warm session, and
-//!   measures per-query service time. Result *values* are digested with
-//!   FNV-1a ([`lcs_api::ValueDigest`]); same seed ⇒ same digest at any
-//!   `LCS_THREADS`, any client count, any machine.
+//! * **[`replay`]** — the one driver, generic over a [`Transport`]
+//!   (open a client connection, serve one event on it). Open loop
+//!   replays the arrival schedule on one connection and measures
+//!   completion − scheduled arrival (so queueing delay counts — no
+//!   coordinated omission); closed loop runs k client threads with one
+//!   connection each and times every call. [`InProcess`] serves on one
+//!   warm session shared by every client, as the server does;
+//!   `lcs_server::client::Tcp` serves over the wire.
+//!   [`run_workload`] generates a spec's trace and replays it in
+//!   process. Result *values* are digested with FNV-1a
+//!   ([`lcs_api::ValueDigest`]); same seed ⇒ same digest at any
+//!   `LCS_THREADS`, any client count, any machine, either transport.
 //! * **[`LatencyHistogram`]** (re-exported from `lcs_obs`) — fixed-bucket
 //!   log-linear recorder (16 sub-buckets per octave, ≤ 1/16 relative
 //!   quantile error) with exact max tracking and associative/commutative
@@ -78,7 +84,8 @@ pub mod trace;
 pub mod zipf;
 
 pub use corpus::{Corpus, CorpusEntry, CorpusSpec, Family, RepairCase};
-pub use driver::{query_of, run_workload, run_workload_obs, ClientOutcome, WorkloadOutcome};
+pub use driver::{query_of, replay, run_workload, run_workload_obs};
+pub use driver::{ClientOutcome, InProcess, Transport, WorkloadOutcome};
 pub use lcs_obs::LatencyHistogram;
 pub use spec::{Mode, QueryMix, WorkloadSpec};
 pub use trace::{generate_trace, QueryEvent, QueryKind};

@@ -80,11 +80,12 @@ impl QueryMix {
         }
     }
 
-    /// Apportions `queries` over the four kinds exactly, by largest
+    /// Apportions `queries` over the five kinds exactly, by largest
     /// remainder: each kind gets `⌊queries·w/total⌋`, and the leftover
     /// queries go to the kinds with the largest fractional remainders
-    /// (ties broken in construct, verify, quality, mst order). The result
-    /// always sums to `queries`, and a zero-weight kind always gets zero.
+    /// (ties broken in construct, verify, quality, mst, repair order).
+    /// The result always sums to `queries`, and a zero-weight kind always
+    /// gets zero.
     ///
     /// Returns `[construct, verify, quality, mst, repair]` counts.
     ///
@@ -135,7 +136,7 @@ impl QueryMix {
 pub enum Mode {
     /// Open loop: queries arrive on a fixed schedule (Poisson
     /// interarrivals with the given mean), independent of completions.
-    /// One warm session serves them in order; latency is completion −
+    /// One connection serves them in order; latency is completion −
     /// *scheduled* arrival, so queueing delay counts and slow queries
     /// cannot hide the backlog they cause (no coordinated omission).
     Open {
@@ -143,10 +144,11 @@ pub enum Mode {
         /// every query is due at t=0).
         mean_interarrival_nanos: u64,
     },
-    /// Closed loop: `clients` concurrent clients, each with its own warm
-    /// session, each issuing its next query only after the previous one
-    /// completes plus an optional think-time. Latency is per-query
-    /// service time.
+    /// Closed loop: `clients` concurrent clients, each on its own
+    /// connection to one shared server (in process: one warm session),
+    /// each issuing its next query only after the previous one completes
+    /// plus an optional think-time. Latency is the time of each call, as
+    /// the driver measures it.
     Closed {
         /// Number of concurrent clients (threads). Must be ≥ 1.
         clients: usize,
@@ -170,6 +172,17 @@ impl Mode {
             Mode::Open { .. } => 1,
             Mode::Closed { clients, .. } => *clients,
         }
+    }
+
+    /// Rejects a closed loop of zero clients, the one pacing no driver
+    /// can run.
+    pub(crate) fn check(&self) -> lcs_api::Result<()> {
+        if let Mode::Closed { clients: 0, .. } = self {
+            return Err(lcs_api::LcsError::Config {
+                reason: "closed-loop workload needs at least one client".to_string(),
+            });
+        }
+        Ok(())
     }
 }
 

@@ -34,7 +34,7 @@ fn churn_mix() -> QueryMix {
 }
 
 /// Replays the trace through the dedicated `Session` query methods — not
-/// through `serve` — so the test pins the driver against the original
+/// through `serve_shared` — so the test pins the driver against the original
 /// API, not against itself.
 fn replay_directly(corpus: &Corpus, spec: &WorkloadSpec) -> Vec<QueryValue> {
     let trace = generate_trace(spec, corpus.len()).unwrap();

@@ -4,18 +4,21 @@
 //!
 //! The server builds a grid corpus, warms one shared session, and four
 //! worker threads answer four closed-loop client connections through
-//! `Session::serve_shared` (`&self` — no session lock). The client
-//! replay reports per-kind round-trip latencies; the example then
-//! replays the same trace directly through `Session::serve` and asserts
-//! the digest sequences are identical — the server's determinism
-//! contract in one assert.
+//! `Session::serve_shared` (`&self` — no session lock). The workload
+//! driver replays the trace over the `Tcp` transport and reports per-kind
+//! latencies; the example then replays the same trace through the same
+//! driver in process (`InProcess`, one warm session) and asserts the
+//! digest sequences are identical — the server's determinism contract in
+//! one assert.
 //!
 //! Run with: `cargo run --release --example serve_tcp`
 
 use low_congestion_shortcuts::api::Pipeline;
-use low_congestion_shortcuts::server::{client, ServerConfig, ServerHandle};
+use low_congestion_shortcuts::obs::Obs;
+use low_congestion_shortcuts::server::{client, ServerConfig, ServerHandle, Tcp};
 use low_congestion_shortcuts::workload::{
-    generate_trace, query_of, Corpus, CorpusSpec, Family, Mode, QueryKind, QueryMix, WorkloadSpec,
+    generate_trace, replay, Corpus, CorpusSpec, Family, InProcess, Mode, QueryKind, QueryMix,
+    WorkloadSpec,
 };
 
 fn main() {
@@ -53,8 +56,13 @@ fn main() {
     let corpus = Corpus::build(&corpus_spec).expect("corpus builds");
     let trace = generate_trace(&spec, corpus.len()).expect("trace generates");
 
-    let outcome =
-        client::replay_closed(server.addr(), "grid", &trace, CLIENTS, 0).expect("replay runs");
+    let outcome = replay(
+        &Tcp::new(server.addr(), "grid"),
+        &trace,
+        spec.mode,
+        &Obs::off(),
+    )
+    .expect("replay runs");
     println!(
         "{} queries over {} connections: {:.0} req/s, p50 {:.1} us, p99 {:.1} us, p99.9 {:.1} us",
         outcome.queries,
@@ -79,26 +87,24 @@ fn main() {
     }
 
     // The determinism contract: the wire adds latency, never values.
-    let mut session = Pipeline::on(corpus.graph())
+    let session = Pipeline::on(corpus.graph())
         .seed(SEED)
         .build()
         .expect("session builds");
-    let direct: Vec<u64> = trace
-        .iter()
-        .map(|event| {
-            session
-                .serve(query_of(&corpus, event))
-                .expect("direct serve succeeds")
-                .digest
-        })
-        .collect();
+    let direct = replay(
+        &InProcess::new(&session, &corpus),
+        &trace,
+        spec.mode,
+        &Obs::off(),
+    )
+    .expect("direct replay runs");
     assert_eq!(
-        outcome.digests, direct,
-        "server digests must equal a direct Session::serve replay"
+        outcome.digests, direct.digests,
+        "server digests must equal an in-process replay"
     );
     println!(
         "digest check: {} server responses == direct serve replay",
-        direct.len()
+        direct.digests.len()
     );
 
     client::shutdown(server.addr()).expect("shutdown acknowledged");
