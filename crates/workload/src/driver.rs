@@ -71,7 +71,7 @@ pub struct WorkloadOutcome {
     /// Every query's result digest, in trace order.
     pub digests: Vec<u64>,
     /// Every query's result values in trace order, when the transport
-    /// returned them (see [`InProcess::keep_values`]).
+    /// returned them (see [`WorkloadSpec::keep_results`]).
     pub results: Option<Vec<QueryValue>>,
 }
 
@@ -90,8 +90,8 @@ impl WorkloadOutcome {
 /// trace event on it. Everything else about a replay — pacing, the
 /// client split, timing and digests — is [`replay`]'s.
 pub trait Transport: Sync {
-    /// One client's connection. Each closed-loop client opens its own on
-    /// its own thread.
+    /// One client's connection. Each closed-loop client opens its own, on
+    /// its own thread when there are several.
     type Conn;
     /// What connecting or serving can fail with. The driver's own
     /// validation errors arrive through `From<LcsError>`.
@@ -137,13 +137,6 @@ impl<'a, 'g> InProcess<'a, 'g> {
             corpus,
             keep_values: false,
         }
-    }
-
-    /// Also returns every query's result values
-    /// ([`Session::serve_shared_full`]), for equivalence tests.
-    pub fn keep_values(mut self, keep: bool) -> Self {
-        self.keep_values = keep;
-        self
     }
 }
 
@@ -249,7 +242,11 @@ pub fn run_workload_obs(
         .threads(spec.threads)
         .recorder(obs.clone())
         .build()?;
-    let transport = InProcess::new(&session, corpus).keep_values(spec.keep_results);
+    let transport = InProcess {
+        session: &session,
+        corpus,
+        keep_values: spec.keep_results,
+    };
     replay(&transport, &trace, spec.mode, obs)
 }
 
@@ -345,7 +342,9 @@ fn open_loop<T: Transport>(
     // the registry once, after the loop — the hot path stays lock-free.
     let mut lag_hist = obs.is_on().then(LatencyHistogram::new);
     let mut max_depth = 0u64;
-    let start = Instant::now();
+    // The schedule starts at the first `due` call, once the connection is
+    // open, so connecting is not charged to the first query.
+    let mut start = None;
     let samples = serve_client(
         transport,
         trace,
@@ -355,6 +354,7 @@ fn open_loop<T: Transport>(
         // latency counts from the scheduled arrival, so it charges the
         // backlog.
         |slot| {
+            let start = *start.get_or_insert_with(Instant::now);
             let arrival = trace[slot].arrival_nanos;
             let scheduled = start + Duration::from_nanos(arrival);
             while Instant::now() < scheduled {
@@ -391,6 +391,16 @@ fn closed_loop<T: Transport>(
     clients: usize,
     think: Duration,
 ) -> Result<Vec<Vec<Sample>>, T::Error> {
+    // One client runs inline on the caller's thread, as the open loop does.
+    if clients == 1 {
+        return Ok(vec![serve_client(
+            transport,
+            trace,
+            0..trace.len(),
+            |_| Instant::now(),
+            think,
+        )?]);
+    }
     // `thread::scope` lets every client borrow the transport and the trace;
     // the first error in client order wins.
     thread::scope(|scope| {
