@@ -8,7 +8,8 @@
 //!   *completion − scheduled arrival*, so a query that arrives while its
 //!   predecessor still runs pays the queueing delay (no coordinated
 //!   omission — expensive minorities push the measured tail out).
-//! * **Closed loop** — `k` client threads with one connection each,
+//! * **Closed loop** — `k` clients with one connection each (client 0 on
+//!   the caller's thread, the rest on their own threads),
 //!   serving the trace round-robin (client `i` takes events
 //!   `i, i+k, i+2k, …`) with optional think-time; latency is each call as
 //!   the driver times it.
@@ -391,30 +392,24 @@ fn closed_loop<T: Transport>(
     clients: usize,
     think: Duration,
 ) -> Result<Vec<Vec<Sample>>, T::Error> {
-    // One client runs inline on the caller's thread, as the open loop does.
-    if clients == 1 {
-        return Ok(vec![serve_client(
-            transport,
-            trace,
-            0..trace.len(),
-            |_| Instant::now(),
-            think,
-        )?]);
-    }
-    // `thread::scope` lets every client borrow the transport and the trace;
-    // the first error in client order wins.
+    // Client 0 runs on the caller's thread, as the open loop does; the
+    // others run on scoped threads that borrow the transport and the trace.
+    // The first error in client order wins.
+    let client = |client: usize| {
+        let slots = (client..trace.len()).step_by(clients);
+        serve_client(transport, trace, slots, |_| Instant::now(), think)
+    };
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                scope.spawn(move || {
-                    let slots = (client..trace.len()).step_by(clients);
-                    serve_client(transport, trace, slots, |_| Instant::now(), think)
-                })
-            })
+        let others: Vec<_> = (1..clients)
+            .map(|c| scope.spawn(move || client(c)))
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("replay client thread panicked"))
+        let first = client(0);
+        std::iter::once(first)
+            .chain(
+                others
+                    .into_iter()
+                    .map(|handle| handle.join().expect("replay client thread panicked")),
+            )
             .collect()
     })
 }
