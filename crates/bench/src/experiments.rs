@@ -1,4 +1,4 @@
-//! The experiment tables E1–E11.
+//! The experiment tables E1–E17 and the registry that lists them.
 //!
 //! Every table is produced through the `lcs_api` façade: one
 //! [`Pipeline`]-built [`Session`] per instance graph, queried for
@@ -7,19 +7,27 @@
 //! former per-crate entry points, so the table values are unchanged;
 //! per-graph state (tree, shard map, quality workspaces) is built once
 //! per session instead of once per measurement.
+//!
+//! Every builder returns one [`Table`]; [`EXPERIMENTS`] lists them with
+//! their ids, and [`tables_to_json`] writes the `--json` document.
 
 use lcs_api::congest::primitives::AggregateOp;
 use lcs_api::existential::reference_parameters;
-use lcs_api::graph::{
-    diameter_exact, generators, EdgeWeights, Graph, NodeId, Partition, RootedTree,
+use lcs_api::graph::generators::partitions::{grid_columns, random_bfs_balls, wheel_arcs};
+use lcs_api::graph::generators::{
+    caterpillar, genus_handles, grid, lower_bound_graph, path, random_connected, torus, wheel,
 };
+use lcs_api::graph::{diameter_exact, EdgeWeights, Graph, NodeId, Partition, RootedTree};
 use lcs_api::routing::{convergecast_rounds, RoutingPriority, SubtreeSpec};
 use lcs_api::{
-    CoreKind, CoreOutcome, CrossCheck, ExecutionMode, MstRun, Pipeline, Session, ShortcutStrategy,
-    Strategy,
+    CoreKind, CoreOutcome, CrossCheck, ExecutionMode, MstRun, Pipeline, Session, ShortcutQuality,
+    ShortcutStrategy, Strategy, ValueDigest,
 };
+use lcs_workload::{Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
 
-/// A rendered experiment table: a title, column headers and string rows.
+/// An experiment table: a title, column headers, string rows and, on the
+/// tables that carry them (E13–E17), one pre-serialized JSON object per
+/// row that `--json` embeds under the table's `"extra"` key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment identifier and short description.
@@ -28,6 +36,42 @@ pub struct Table {
     pub headers: Vec<String>,
     /// One row per measurement.
     pub rows: Vec<Vec<String>>,
+    /// One JSON object per row, or none at all.
+    pub extras: Vec<String>,
+}
+
+impl Table {
+    /// An empty table with the given title and column headers.
+    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+        Table {
+            title: title.into(),
+            headers: headers.iter().map(|h| h.to_string()).collect(),
+            rows: Vec::new(),
+            extras: Vec::new(),
+        }
+    }
+
+    /// Appends one row, with its JSON object on tables that carry extras.
+    ///
+    /// # Panics
+    ///
+    /// If the row is not exactly as wide as the headers, or if some rows
+    /// carry an extra and others do not.
+    pub fn push(&mut self, row: Vec<String>, extra: Option<String>) {
+        assert_eq!(
+            row.len(),
+            self.headers.len(),
+            "row width must equal the header count in {:?}",
+            self.title
+        );
+        assert!(
+            self.rows.is_empty() || extra.is_some() != self.extras.is_empty(),
+            "every row of {:?} carries an extra, or none does",
+            self.title
+        );
+        self.rows.push(row);
+        self.extras.extend(extra);
+    }
 }
 
 /// Renders a [`Table`] as aligned plain text.
@@ -59,10 +103,154 @@ pub fn render_table(table: &Table) -> String {
     out
 }
 
+/// One registered experiment: its id, a one-line summary, whether it only
+/// runs when asked for by name, and its table builder.
+pub struct Experiment {
+    /// The id the `experiments` binary selects it by (`"e1"` … `"e17"`).
+    pub id: &'static str,
+    /// One-line description, printed by `experiments --list`.
+    pub summary: &'static str,
+    /// Runs only when named (the heavy E10 tier).
+    pub opt_in: bool,
+    /// Builds the table.
+    pub build: fn() -> Table,
+}
+
+impl Experiment {
+    /// Builds the table, measuring the wall-clock build time.
+    pub fn run(&self) -> TimedTable {
+        let start = std::time::Instant::now();
+        let table = (self.build)();
+        TimedTable {
+            id: self.id,
+            table,
+            millis: start.elapsed().as_secs_f64() * 1e3,
+        }
+    }
+}
+
+/// Every experiment table, in print order.
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "e1",
+        summary: "shortcut quality on planar / genus-g families (doubling construction)",
+        opt_in: false,
+        build: e1_quality_table,
+    },
+    Experiment {
+        id: "e2",
+        summary: "FindShortcut (Theorem 3) scaling: rounds vs n, D and N",
+        opt_in: false,
+        build: e2_findshortcut_table,
+    },
+    Experiment {
+        id: "e3",
+        summary: "Lemma 2 tree routing: measured rounds vs the D + c bound",
+        opt_in: false,
+        build: e3_routing_table,
+    },
+    Experiment {
+        id: "e4",
+        summary: "distributed Boruvka MST (Lemma 4): rounds by shortcut strategy",
+        opt_in: false,
+        build: e4_mst_table,
+    },
+    Experiment {
+        id: "e5",
+        summary: "CoreSlow (Lemma 7) vs CoreFast (Lemma 5): rounds, good parts, edge load",
+        opt_in: false,
+        build: e5_core_table,
+    },
+    Experiment {
+        id: "e6",
+        summary: "Appendix A doubling search vs known parameters",
+        opt_in: false,
+        build: e6_doubling_table,
+    },
+    Experiment {
+        id: "e7",
+        summary: "Theorem 3 / Lemma 1 guarantee validation across families",
+        opt_in: false,
+        build: e7_guarantees_table,
+    },
+    Experiment {
+        id: "e8",
+        summary: "charged vs executed rounds of every lcs_dist protocol",
+        opt_in: false,
+        build: e8_dist_table,
+    },
+    Experiment {
+        id: "e9",
+        summary: "scale tier: FindShortcut + distributed verification at n = 10^4..10^5",
+        opt_in: false,
+        build: e9_scale_table,
+    },
+    Experiment {
+        id: "e10",
+        summary: "10^6-node tier: the E9 pipeline one order up (heavy; minutes)",
+        opt_in: true,
+        build: e10_scale_table,
+    },
+    Experiment {
+        id: "e11",
+        summary: "serving: warm Session reuse vs cold per-query pipeline setup",
+        opt_in: false,
+        build: e11_serving_table,
+    },
+    Experiment {
+        id: "e13",
+        summary: "workload serving: open/closed-loop clients, Zipf(theta) traffic",
+        opt_in: false,
+        build: e13_workload_table,
+    },
+    Experiment {
+        id: "e14",
+        summary: "instrumentation overhead: recorder off vs on",
+        opt_in: false,
+        build: e14_obs_table,
+    },
+    Experiment {
+        id: "e15",
+        summary: "robustness: fault-injected verification",
+        opt_in: false,
+        build: e15_faults_table,
+    },
+    Experiment {
+        id: "e16",
+        summary: "incremental repair: update_partition vs full rebuild",
+        opt_in: false,
+        build: e16_repair_table,
+    },
+    Experiment {
+        id: "e17",
+        summary: "concurrent TCP serving: one warm session, loopback clients",
+        opt_in: false,
+        build: e17_server_table,
+    },
+];
+
+/// A labelled instance (a graph and its partition, or partitions), built on
+/// demand so a table holds one instance graph at a time.
+type Instance<P = Partition> = (&'static str, fn() -> (Graph, P));
+
 fn grid_instance(side: usize) -> (Graph, Partition) {
-    let graph = generators::grid(side, side);
-    let partition = generators::partitions::grid_columns(side, side);
+    columns(grid(side, side), side)
+}
+
+/// `graph` with the column partition of its `side × side` layout.
+fn columns(graph: Graph, side: usize) -> (Graph, Partition) {
+    (graph, grid_columns(side, side))
+}
+
+/// `graph` with `parts` random BFS balls.
+fn balls(graph: Graph, parts: usize, seed: u64) -> (Graph, Partition) {
+    let partition = random_bfs_balls(&graph, parts, seed);
     (graph, partition)
+}
+
+/// The wheel `W_n` with its rim cut into `arcs` parts.
+fn arcs(n: usize, arcs: usize) -> (Graph, Partition) {
+    (wheel(n), wheel_arcs(n, arcs))
 }
 
 /// A session with the experiments' standard shape: BFS tree rooted at node
@@ -74,59 +262,37 @@ fn session_on(graph: &Graph, seed: u64) -> Session<'_> {
         .expect("experiment instances are nonempty and connected")
 }
 
+/// The existential reference quality of `partition` on the session's tree,
+/// and the known `(c, b)` taken from it (each at least 1).
+fn reference_cb(session: &Session<'_>, partition: &Partition) -> (ShortcutQuality, (usize, usize)) {
+    let (_, reference) = reference_parameters(session.graph(), session.tree(), partition);
+    let cb = (
+        reference.congestion.max(1),
+        reference.block_parameter.max(1),
+    );
+    (reference, cb)
+}
+
+/// FindShortcut at known parameters `(c, b)`.
+fn fixed((congestion, block): (usize, usize)) -> Strategy {
+    Strategy::Fixed { congestion, block }
+}
+
+/// Runs `run` twice; returns the first result and whether both runs agree
+/// on `key` (the `det` column of E13–E15).
+fn rerun<T, K: PartialEq>(mut run: impl FnMut() -> T, key: impl Fn(&T) -> K) -> (T, bool) {
+    let first = run();
+    let equal = key(&first) == key(&run());
+    (first, equal)
+}
+
 /// E1 — Theorem 1 / Corollary 1 shape: quality of constructed shortcuts on
 /// planar and genus-`g` families (grid-column partitions, doubling
 /// construction).
-pub fn e1_quality_table() -> Table {
-    let mut rows = Vec::new();
-    let mut push_row = |family: String, graph: &Graph, partition: &Partition| {
-        let session = session_on(graph, 0);
-        let run = session
-            .shortcut(partition, Strategy::doubling())
-            .expect("families in E1 admit shortcuts");
-        let q = session
-            .quality(&run.shortcut, partition)
-            .expect("partition matches the session graph");
-        rows.push(vec![
-            family,
-            graph.node_count().to_string(),
-            diameter_exact(graph).to_string(),
-            partition.part_count().to_string(),
-            q.congestion.to_string(),
-            q.block_parameter.to_string(),
-            q.dilation.to_string(),
-            run.total_rounds().to_string(),
-        ]);
-    };
-
-    for side in [8usize, 12, 16, 24] {
-        let (graph, partition) = grid_instance(side);
-        push_row(format!("grid {side}x{side} (genus 0)"), &graph, &partition);
-    }
-    for genus in [1usize, 2, 4, 8] {
-        let graph = generators::genus_handles(16, 16, genus);
-        let partition = generators::partitions::grid_columns(16, 16);
-        push_row(
-            format!("16x16 + {genus} handles (genus <= {genus})"),
-            &graph,
-            &partition,
-        );
-    }
-    {
-        let graph = generators::torus(16, 16);
-        let partition = generators::partitions::grid_columns(16, 16);
-        push_row("torus 16x16 (genus 1)".to_string(), &graph, &partition);
-    }
-    {
-        let graph = generators::wheel(257);
-        let partition = generators::partitions::wheel_arcs(257, 16);
-        push_row("wheel W_257 (planar, D=2)".to_string(), &graph, &partition);
-    }
-
-    Table {
-        title: "E1: shortcut quality on planar / genus-g families (doubling construction)"
-            .to_string(),
-        headers: [
+fn e1_quality_table() -> Table {
+    let mut table = Table::new(
+        "E1: shortcut quality on planar / genus-g families (doubling construction)",
+        &[
             "family",
             "n",
             "D",
@@ -135,87 +301,52 @@ pub fn e1_quality_table() -> Table {
             "block",
             "dilation",
             "rounds",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
+        ],
+    );
+    let mut push_row = |family: String, (graph, partition): (Graph, Partition)| {
+        let session = session_on(&graph, 0);
+        let run = session
+            .shortcut(&partition, Strategy::doubling())
+            .expect("families in E1 admit shortcuts");
+        let q = session
+            .quality(&run.shortcut, &partition)
+            .expect("partition matches the session graph");
+        let row = vec![
+            family,
+            graph.node_count().to_string(),
+            diameter_exact(&graph).to_string(),
+            partition.part_count().to_string(),
+            q.congestion.to_string(),
+            q.block_parameter.to_string(),
+            q.dilation.to_string(),
+            run.total_rounds().to_string(),
+        ];
+        table.push(row, None);
+    };
+
+    for side in [8usize, 12, 16, 24] {
+        push_row(format!("grid {side}x{side} (genus 0)"), grid_instance(side));
     }
+    for genus in [1usize, 2, 4, 8] {
+        push_row(
+            format!("16x16 + {genus} handles (genus <= {genus})"),
+            columns(genus_handles(16, 16, genus), 16),
+        );
+    }
+    push_row(
+        "torus 16x16 (genus 1)".to_string(),
+        columns(torus(16, 16), 16),
+    );
+    push_row("wheel W_257 (planar, D=2)".to_string(), arcs(257, 16));
+    table
 }
 
 /// E2 — Theorem 3 shape: FindShortcut round count as the instance grows
 /// (grid side sweep and part-count sweep).
-pub fn e2_findshortcut_table() -> Table {
-    let mut rows = Vec::new();
-    for side in [8usize, 12, 16, 24, 32] {
-        let (graph, partition) = grid_instance(side);
-        let session = session_on(&graph, 1);
-        let (_, reference) = reference_parameters(&graph, session.tree(), &partition);
-        let (c, b) = (
-            reference.congestion.max(1),
-            reference.block_parameter.max(1),
-        );
-        let run = session
-            .shortcut(
-                &partition,
-                Strategy::Fixed {
-                    congestion: c,
-                    block: b,
-                },
-            )
-            .unwrap();
-        let q = session.quality(&run.shortcut, &partition).unwrap();
-        rows.push(vec![
-            format!("grid {side}x{side}, columns"),
-            graph.node_count().to_string(),
-            session.tree().depth_of_tree().to_string(),
-            partition.part_count().to_string(),
-            format!("({}, {})", reference.congestion, reference.block_parameter),
-            run.report.iterations.to_string(),
-            run.total_rounds().to_string(),
-            q.congestion.to_string(),
-            q.block_parameter.to_string(),
-            run.report.all_parts_good.to_string(),
-        ]);
-    }
-    // Part-count sweep at fixed size: random BFS-ball partitions, all rows
-    // served by one session (the multi-query shape the façade exists for).
-    let side = 20usize;
-    let graph = generators::grid(side, side);
-    let session = session_on(&graph, 2);
-    for parts in [5usize, 10, 20, 40, 80] {
-        let partition = generators::partitions::random_bfs_balls(&graph, parts, 7);
-        let (_, reference) = reference_parameters(&graph, session.tree(), &partition);
-        let (c, b) = (
-            reference.congestion.max(1),
-            reference.block_parameter.max(1),
-        );
-        let run = session
-            .shortcut(
-                &partition,
-                Strategy::Fixed {
-                    congestion: c,
-                    block: b,
-                },
-            )
-            .unwrap();
-        let q = session.quality(&run.shortcut, &partition).unwrap();
-        rows.push(vec![
-            format!("grid {side}x{side}, {parts} BFS balls"),
-            graph.node_count().to_string(),
-            session.tree().depth_of_tree().to_string(),
-            parts.to_string(),
-            format!("({}, {})", reference.congestion, reference.block_parameter),
-            run.report.iterations.to_string(),
-            run.total_rounds().to_string(),
-            q.congestion.to_string(),
-            q.block_parameter.to_string(),
-            run.report.all_parts_good.to_string(),
-        ]);
-    }
-    Table {
-        title: "E2: FindShortcut (Theorem 3) scaling — rounds vs n, D and N".to_string(),
-        headers: [
+fn e2_findshortcut_table() -> Table {
+    let mut table = Table::new(
+        "E2: FindShortcut (Theorem 3) scaling — rounds vs n, D and N",
+        &[
             "instance",
             "n",
             "depth(T)",
@@ -226,19 +357,58 @@ pub fn e2_findshortcut_table() -> Table {
             "out congestion",
             "out block",
             "all good",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
+        ],
+    );
+    let mut push_row = |instance: String, session: &Session<'_>, partition: &Partition| {
+        let (reference, cb) = reference_cb(session, partition);
+        let run = session.shortcut(partition, fixed(cb)).unwrap();
+        let q = session.quality(&run.shortcut, partition).unwrap();
+        let row = vec![
+            instance,
+            session.graph().node_count().to_string(),
+            session.tree().depth_of_tree().to_string(),
+            partition.part_count().to_string(),
+            format!("({}, {})", reference.congestion, reference.block_parameter),
+            run.report.iterations.to_string(),
+            run.total_rounds().to_string(),
+            q.congestion.to_string(),
+            q.block_parameter.to_string(),
+            run.report.all_parts_good.to_string(),
+        ];
+        table.push(row, None);
+    };
+
+    for side in [8usize, 12, 16, 24, 32] {
+        let (graph, partition) = grid_instance(side);
+        push_row(
+            format!("grid {side}x{side}, columns"),
+            &session_on(&graph, 1),
+            &partition,
+        );
     }
+    // Part-count sweep at fixed size: random BFS-ball partitions, all rows
+    // served by one session (the multi-query shape the façade exists for).
+    let graph = grid(20, 20);
+    let session = session_on(&graph, 2);
+    for parts in [5usize, 10, 20, 40, 80] {
+        let partition = random_bfs_balls(&graph, parts, 7);
+        push_row(
+            format!("grid 20x20, {parts} BFS balls"),
+            &session,
+            &partition,
+        );
+    }
+    table
 }
 
 /// E3 — Lemma 2 / Theorem 2 shape: routing rounds versus `D + c`.
-pub fn e3_routing_table() -> Table {
-    let mut rows = Vec::new();
+fn e3_routing_table() -> Table {
+    let mut table = Table::new(
+        "E3: Lemma 2 tree routing — measured rounds vs the D + c bound (and the reverse-priority ablation)",
+        &["family", "D", "c", "rounds (Lemma 2 priority)", "D + c bound", "rounds (reverse priority)"],
+    );
     // Overlapping copies of a path subtree: congestion grows, depth fixed.
-    let graph = generators::path(200);
+    let graph = path(200);
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     let all: Vec<NodeId> = graph.nodes().collect();
     for c in [1usize, 2, 4, 8, 16, 32] {
@@ -247,17 +417,18 @@ pub fn e3_routing_table() -> Table {
             .collect();
         let lemma2 = convergecast_rounds(&tree, &family, RoutingPriority::BlockRootDepth);
         let reverse = convergecast_rounds(&tree, &family, RoutingPriority::ReverseDepth);
-        rows.push(vec![
+        let row = vec![
             format!("path_200, {c} overlapping subtrees"),
             tree.depth_of_tree().to_string(),
             c.to_string(),
             lemma2.rounds.to_string(),
             (u64::from(tree.depth_of_tree()) + c as u64).to_string(),
             reverse.rounds.to_string(),
-        ]);
+        ];
+        table.push(row, None);
     }
     // Nested suffixes on a deeper path: priority rule matters more.
-    let graph = generators::path(240);
+    let graph = path(240);
     let tree = RootedTree::bfs(&graph, NodeId::new(0));
     for c in [8usize, 16, 32] {
         let family: Vec<SubtreeSpec> = (0..c)
@@ -265,23 +436,17 @@ pub fn e3_routing_table() -> Table {
             .collect();
         let lemma2 = convergecast_rounds(&tree, &family, RoutingPriority::BlockRootDepth);
         let reverse = convergecast_rounds(&tree, &family, RoutingPriority::ReverseDepth);
-        rows.push(vec![
+        let row = vec![
             format!("path_240, {c} nested suffixes"),
             tree.depth_of_tree().to_string(),
             lemma2.max_edge_load.to_string(),
             lemma2.rounds.to_string(),
             (u64::from(tree.depth_of_tree()) + lemma2.max_edge_load as u64).to_string(),
             reverse.rounds.to_string(),
-        ]);
+        ];
+        table.push(row, None);
     }
-    Table {
-        title: "E3: Lemma 2 tree routing — measured rounds vs the D + c bound (and the reverse-priority ablation)".to_string(),
-        headers: ["family", "D", "c", "rounds (Lemma 2 priority)", "D + c bound", "rounds (reverse priority)"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        rows,
-    }
+    table
 }
 
 /// E4 — Lemma 4 shape: distributed MST rounds, shortcuts vs baselines.
@@ -290,7 +455,7 @@ pub fn e3_routing_table() -> Table {
 /// construction) and the routing-only rounds (the cost of the per-part
 /// minimum-outgoing-edge exchanges, the quantity Lemma 4's comparison is
 /// about: `O(D·polylog)` with shortcuts versus the part diameter without).
-pub fn e4_mst_table() -> Table {
+fn e4_mst_table() -> Table {
     /// Sum of the "min-outgoing-edge" entries of a run's cost breakdown.
     fn routing_rounds(outcome: &MstRun) -> u64 {
         outcome
@@ -302,7 +467,13 @@ pub fn e4_mst_table() -> Table {
             .sum()
     }
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "E4: distributed Boruvka MST (Lemma 4) — rounds by shortcut strategy (totals include per-phase construction; 'routing' columns isolate the per-part min-edge exchanges)",
+        &[
+            "family", "n", "D", "doubling total", "phases", "no-shortcut total",
+            "whole-tree total", "shortcut routing", "baseline routing",
+        ],
+    );
     let mut push_row = |family: &str, graph: &Graph, seed: u64| {
         let weights = EdgeWeights::random_permutation(graph, seed);
         let reference = lcs_api::graph::kruskal_mst(graph, &weights);
@@ -332,44 +503,41 @@ pub fn e4_mst_table() -> Table {
             }
         }
         cells.extend(routing);
-        rows.push(cells);
+        table.push(cells, None);
     };
 
-    push_row("wheel W_129 (D=2)", &generators::wheel(129), 3);
-    push_row("wheel W_257 (D=2)", &generators::wheel(257), 4);
-    push_row("wheel W_513 (D=2)", &generators::wheel(513), 5);
-    push_row("wheel W_1025 (D=2)", &generators::wheel(1025), 10);
-    push_row("grid 12x12", &generators::grid(12, 12), 6);
-    push_row("grid 16x16", &generators::grid(16, 16), 7);
-    push_row("torus 12x12 (genus 1)", &generators::torus(12, 12), 8);
-    let (lb, _) = generators::lower_bound_graph(8, 32);
+    push_row("wheel W_129 (D=2)", &wheel(129), 3);
+    push_row("wheel W_257 (D=2)", &wheel(257), 4);
+    push_row("wheel W_513 (D=2)", &wheel(513), 5);
+    push_row("wheel W_1025 (D=2)", &wheel(1025), 10);
+    push_row("grid 12x12", &grid(12, 12), 6);
+    push_row("grid 16x16", &grid(16, 16), 7);
+    push_row("torus 12x12 (genus 1)", &torus(12, 12), 8);
+    let (lb, _) = lower_bound_graph(8, 32);
     push_row("lower-bound graph 8x32 (hard)", &lb, 9);
-
-    Table {
-        title: "E4: distributed Boruvka MST (Lemma 4) — rounds by shortcut strategy (totals include per-phase construction; 'routing' columns isolate the per-part min-edge exchanges)"
-            .to_string(),
-        headers: [
-            "family", "n", "D", "doubling total", "phases", "no-shortcut total",
-            "whole-tree total", "shortcut routing", "baseline routing",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+    table
 }
 
 /// E5 — Lemmas 5 and 7: CoreSlow vs CoreFast rounds and output quality.
-pub fn e5_core_table() -> Table {
-    let mut rows = Vec::new();
-    let side = 20usize;
-    let graph = generators::grid(side, side);
+fn e5_core_table() -> Table {
+    let mut table = Table::new(
+        "E5: CoreSlow (Lemma 7) vs CoreFast (Lemma 5) — rounds, good parts, max edge assignment",
+        &[
+            "instance",
+            "(c, b) ref",
+            "slow rounds",
+            "fast rounds",
+            "slow good",
+            "fast good",
+            "slow max/edge",
+            "fast max/edge",
+        ],
+    );
+    let graph = grid(20, 20);
     let session = session_on(&graph, 5);
     for parts in [10usize, 25, 50, 100, 200] {
-        let partition = generators::partitions::random_bfs_balls(&graph, parts, 3);
-        let (_, reference) = reference_parameters(&graph, session.tree(), &partition);
-        let c = reference.congestion.max(1);
-        let b = reference.block_parameter.max(1);
+        let partition = random_bfs_balls(&graph, parts, 3);
+        let (_, (c, b)) = reference_cb(&session, &partition);
         let slow = session.core(&partition, CoreKind::Slow, c).unwrap();
         let fast = session.core(&partition, CoreKind::Fast, c).unwrap();
         let good = |shortcut: &lcs_api::TreeShortcut| {
@@ -386,8 +554,8 @@ pub fn e5_core_table() -> Table {
                 .max()
                 .unwrap_or(0)
         };
-        rows.push(vec![
-            format!("grid {side}x{side}, {parts} BFS balls"),
+        let row = vec![
+            format!("grid 20x20, {parts} BFS balls"),
             format!("({c}, {b})"),
             slow.rounds.to_string(),
             fast.rounds.to_string(),
@@ -395,51 +563,37 @@ pub fn e5_core_table() -> Table {
             format!("{}/{}", good(&fast.shortcut), parts),
             format!("{} (<= {})", max_assign(&slow), 2 * c),
             max_assign(&fast).to_string(),
-        ]);
+        ];
+        table.push(row, None);
     }
-    Table {
-        title:
-            "E5: CoreSlow (Lemma 7) vs CoreFast (Lemma 5) — rounds, good parts, max edge assignment"
-                .to_string(),
-        headers: [
-            "instance",
-            "(c, b) ref",
-            "slow rounds",
-            "fast rounds",
-            "slow good",
-            "fast good",
-            "slow max/edge",
-            "fast max/edge",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+    table
 }
 
 /// E6 — Appendix A: overhead of the doubling search versus known
 /// parameters.
-pub fn e6_doubling_table() -> Table {
-    let mut rows = Vec::new();
+fn e6_doubling_table() -> Table {
+    let mut table = Table::new(
+        "E6: Appendix A doubling search vs known parameters",
+        &[
+            "instance",
+            "(c, b) known",
+            "rounds (known)",
+            "(c, b) found",
+            "attempts",
+            "rounds (doubling)",
+            "overhead",
+        ],
+    );
     for side in [8usize, 16, 24] {
         let (graph, partition) = grid_instance(side);
         let session = session_on(&graph, 3);
-        let (_, reference) = reference_parameters(&graph, session.tree(), &partition);
-        let known = session
-            .shortcut(
-                &partition,
-                Strategy::Fixed {
-                    congestion: reference.congestion.max(1),
-                    block: reference.block_parameter.max(1),
-                },
-            )
-            .unwrap();
+        let (reference, cb) = reference_cb(&session, &partition);
+        let known = session.shortcut(&partition, fixed(cb)).unwrap();
         let unknown = session.shortcut(&partition, Strategy::doubling()).unwrap();
         let (found_c, found_b) = unknown
             .winning_guess()
             .expect("the doubling search succeeded");
-        rows.push(vec![
+        let row = vec![
             format!("grid {side}x{side}, columns"),
             format!("({}, {})", reference.congestion, reference.block_parameter),
             known.total_rounds().to_string(),
@@ -450,47 +604,48 @@ pub fn e6_doubling_table() -> Table {
                 "{:.2}",
                 unknown.total_rounds() as f64 / known.total_rounds().max(1) as f64
             ),
-        ]);
+        ];
+        table.push(row, None);
     }
-    Table {
-        title: "E6: Appendix A doubling search vs known parameters".to_string(),
-        headers: [
-            "instance",
-            "(c, b) known",
-            "rounds (known)",
-            "(c, b) found",
-            "attempts",
-            "rounds (doubling)",
-            "overhead",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+    table
 }
 
 /// E7 — guarantee validation across families: congestion ≤ 8c·iterations,
 /// block ≤ 3b, dilation ≤ b(2D+1).
-pub fn e7_guarantees_table() -> Table {
-    let mut rows = Vec::new();
-    let mut check = |family: &str, graph: &Graph, partition: &Partition| {
-        let session = session_on(graph, 9);
-        let (_, reference) = reference_parameters(graph, session.tree(), partition);
-        let c = reference.congestion.max(1);
-        let b = reference.block_parameter.max(1);
-        let run = session
-            .shortcut(
-                partition,
-                Strategy::Fixed {
-                    congestion: c,
-                    block: b,
-                },
-            )
-            .unwrap();
-        let q = session.quality(&run.shortcut, partition).unwrap();
+fn e7_guarantees_table() -> Table {
+    let mut table = Table::new(
+        "E7: Theorem 3 / Lemma 1 guarantee validation across families",
+        &[
+            "family",
+            "(c, b) ref",
+            "all good",
+            "block <= 3b",
+            "ok",
+            "congestion <= 8c*iter",
+            "ok",
+            "Lemma 1",
+        ],
+    );
+    let instances: [Instance; 6] = [
+        ("grid 8x8, columns", || grid_instance(8)),
+        ("grid 16x16, columns", || grid_instance(16)),
+        ("torus 12x12, 12 BFS balls", || balls(torus(12, 12), 12, 2)),
+        ("wheel W_129, 8 arcs", || arcs(129, 8)),
+        ("16x16 + 4 handles, columns", || {
+            columns(genus_handles(16, 16, 4), 16)
+        }),
+        ("caterpillar 40x3, 10 BFS balls", || {
+            balls(caterpillar(40, 3), 10, 4)
+        }),
+    ];
+    for (family, build) in instances {
+        let (graph, partition) = build();
+        let session = session_on(&graph, 9);
+        let (_, (c, b)) = reference_cb(&session, &partition);
+        let run = session.shortcut(&partition, fixed((c, b))).unwrap();
+        let q = session.quality(&run.shortcut, &partition).unwrap();
         let congestion_bound = 8 * c * run.report.iterations.max(1) + 1;
-        rows.push(vec![
+        let row = vec![
             family.to_string(),
             format!("({c}, {b})"),
             run.report.all_parts_good.to_string(),
@@ -500,51 +655,10 @@ pub fn e7_guarantees_table() -> Table {
             (q.congestion <= congestion_bound).to_string(),
             q.satisfies_lemma1(session.tree().depth_of_tree())
                 .to_string(),
-        ]);
-    };
-
-    for side in [8usize, 16] {
-        let (graph, partition) = grid_instance(side);
-        check(&format!("grid {side}x{side}, columns"), &graph, &partition);
+        ];
+        table.push(row, None);
     }
-    {
-        let graph = generators::torus(12, 12);
-        let partition = generators::partitions::random_bfs_balls(&graph, 12, 2);
-        check("torus 12x12, 12 BFS balls", &graph, &partition);
-    }
-    {
-        let graph = generators::wheel(129);
-        let partition = generators::partitions::wheel_arcs(129, 8);
-        check("wheel W_129, 8 arcs", &graph, &partition);
-    }
-    {
-        let graph = generators::genus_handles(16, 16, 4);
-        let partition = generators::partitions::grid_columns(16, 16);
-        check("16x16 + 4 handles, columns", &graph, &partition);
-    }
-    {
-        let graph = generators::caterpillar(40, 3);
-        let partition = generators::partitions::random_bfs_balls(&graph, 10, 4);
-        check("caterpillar 40x3, 10 BFS balls", &graph, &partition);
-    }
-
-    Table {
-        title: "E7: Theorem 3 / Lemma 1 guarantee validation across families".to_string(),
-        headers: [
-            "family",
-            "(c, b) ref",
-            "all good",
-            "block <= 3b",
-            "ok",
-            "congestion <= 8c*iter",
-            "ok",
-            "Lemma 1",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+    table
 }
 
 /// E8 — charged vs executed rounds: every distributed protocol of
@@ -554,15 +668,42 @@ pub fn e7_guarantees_table() -> Table {
 /// round counts respect the Lemma 2 / Theorem 2 / Lemma 3 bounds; the
 /// table shows how far the executed protocols sit from the charged
 /// schedules.
-pub fn e8_dist_table() -> Table {
-    let mut rows = Vec::new();
-    let mut push_row = |family_name: &str, graph: &Graph, partition: &Partition| {
-        let session = session_on(graph, 0);
+fn e8_dist_table() -> Table {
+    let mut table = Table::new(
+        "E8: charged vs executed rounds — scheduled accounting vs real message passing (cells are charged/executed; results asserted equal)",
+        &[
+            "family",
+            "n",
+            "D",
+            "N",
+            "(c, b)",
+            "convergecast",
+            "leaders",
+            "min edge",
+            "verification",
+            "results equal",
+        ],
+    );
+    let instances: [Instance; 6] = [
+        ("grid 12x12, columns", || grid_instance(12)),
+        ("grid 16x16, 16 BFS balls", || balls(grid(16, 16), 16, 5)),
+        ("torus 10x10, 10 BFS balls", || balls(torus(10, 10), 10, 2)),
+        ("caterpillar 30x3, 8 BFS balls", || {
+            balls(caterpillar(30, 3), 8, 4)
+        }),
+        ("random n=120 m=+120, 12 BFS balls", || {
+            balls(random_connected(120, 120, 9), 12, 6)
+        }),
+        ("wheel W_129, 8 arcs", || arcs(129, 8)),
+    ];
+    for (family, build) in instances {
+        let (graph, partition) = build();
+        let session = session_on(&graph, 0);
         let shortcut = session
-            .shortcut(partition, Strategy::doubling())
+            .shortcut(&partition, Strategy::doubling())
             .expect("families in E8 admit shortcuts")
             .shortcut;
-        let check = CrossCheck::new(graph, session.tree(), partition, &shortcut)
+        let check = CrossCheck::new(&graph, session.tree(), &partition, &shortcut)
             .expect("the measured schedule respects Lemma 2");
         let b = check.family().block_parameter();
         let c = check.family().schedule().max_edge_load;
@@ -575,14 +716,14 @@ pub fn e8_dist_table() -> Table {
             .convergecast(&ones, AggregateOp::Sum)
             .expect("convergecast results match");
         let leaders = check.leader_election().expect("leaders match");
-        let weights = EdgeWeights::random_permutation(graph, 17);
+        let weights = EdgeWeights::random_permutation(&graph, 17);
         let candidates = check.boruvka_candidates(&weights);
         let min_edge = check.min_edge(&candidates).expect("min edges match");
         let threshold = 3 * b.max(1);
         let counts = check.block_counts(threshold).expect("block counts match");
 
-        rows.push(vec![
-            family_name.to_string(),
+        let row = vec![
+            family.to_string(),
             graph.node_count().to_string(),
             u64::from(session.tree().depth_of_tree()).to_string(),
             partition.part_count().to_string(),
@@ -592,98 +733,65 @@ pub fn e8_dist_table() -> Table {
             format!("{}/{}", min_edge.charged, min_edge.executed),
             format!("{}/{}", counts.charged, counts.executed),
             "true".to_string(),
-        ]);
-    };
-
-    {
-        let graph = generators::grid(12, 12);
-        let partition = generators::partitions::grid_columns(12, 12);
-        push_row("grid 12x12, columns", &graph, &partition);
+        ];
+        table.push(row, None);
     }
-    {
-        let graph = generators::grid(16, 16);
-        let partition = generators::partitions::random_bfs_balls(&graph, 16, 5);
-        push_row("grid 16x16, 16 BFS balls", &graph, &partition);
-    }
-    {
-        let graph = generators::torus(10, 10);
-        let partition = generators::partitions::random_bfs_balls(&graph, 10, 2);
-        push_row("torus 10x10, 10 BFS balls", &graph, &partition);
-    }
-    {
-        let graph = generators::caterpillar(30, 3);
-        let partition = generators::partitions::random_bfs_balls(&graph, 8, 4);
-        push_row("caterpillar 30x3, 8 BFS balls", &graph, &partition);
-    }
-    {
-        let graph = generators::random_connected(120, 120, 9);
-        let partition = generators::partitions::random_bfs_balls(&graph, 12, 6);
-        push_row("random n=120 m=+120, 12 BFS balls", &graph, &partition);
-    }
-    {
-        let graph = generators::wheel(129);
-        let partition = generators::partitions::wheel_arcs(129, 8);
-        push_row("wheel W_129, 8 arcs", &graph, &partition);
-    }
-
-    Table {
-        title: "E8: charged vs executed rounds — scheduled accounting vs real message passing (cells are charged/executed; results asserted equal)"
-            .to_string(),
-        headers: [
-            "family",
-            "n",
-            "D",
-            "N",
-            "(c, b)",
-            "convergecast",
-            "leaders",
-            "min edge",
-            "verification",
-            "results equal",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+    table
 }
 
-/// Builds the shared E9/E10 row shape: FindShortcut (scheduled) timed,
+/// A scale-tier instance: label, builder, and the `(c, b)` it runs at.
+type ScaleInstance = (
+    &'static str,
+    fn() -> (Graph, Partition),
+    fn(&Session<'_>, &Partition) -> (usize, usize),
+);
+
+/// The shared E9/E10 table: per instance, FindShortcut (scheduled) timed,
 /// then the Lemma 3 verification as real message passing timed, on one
-/// session per instance.
-fn scale_row(
-    session: &mut Session<'_>,
-    partition: &Partition,
-    (c, b): (usize, usize),
-) -> (Vec<String>, u64) {
-    let graph = session.graph();
-    let fs_start = std::time::Instant::now();
-    let run = session
-        .shortcut(
-            partition,
-            Strategy::Fixed {
-                congestion: c,
-                block: b,
-            },
-        )
-        .expect("scale families admit shortcuts");
-    let fs_ms = fs_start.elapsed().as_secs_f64() * 1e3;
+/// session. E10 adds a `threads` column after `N`.
+fn scale_table(title: String, instances: &[ScaleInstance], threads_column: bool) -> Table {
+    let mut headers = vec![
+        "family",
+        "n",
+        "m",
+        "N",
+        "(c, b)",
+        "fs rounds",
+        "fs ms",
+        "ver rounds",
+        "ver messages",
+        "ver ms",
+        "good",
+    ];
+    if threads_column {
+        headers.insert(4, "threads");
+    }
+    let mut table = Table::new(title, &headers);
+    for &(family, build, params) in instances {
+        let (graph, partition) = build();
+        let mut session = session_on(&graph, 42);
+        let (c, b) = params(&session, &partition);
 
-    session.set_execution(ExecutionMode::Simulated);
-    let ver_start = std::time::Instant::now();
-    let ver = session
-        .verify(&run.shortcut, partition, 3 * b)
-        .expect("verification protocol respects the CONGEST constraints");
-    let ver_ms = ver_start.elapsed().as_secs_f64() * 1e3;
-    session.set_execution(ExecutionMode::Scheduled);
-    let stats = ver
-        .report
-        .sim
-        .expect("simulated verification records stats");
-    let good = ver.good.iter().filter(|&&g| g).count();
+        let fs_start = std::time::Instant::now();
+        let run = session
+            .shortcut(&partition, fixed((c, b)))
+            .expect("scale families admit shortcuts");
+        let fs_ms = fs_start.elapsed().as_secs_f64() * 1e3;
 
-    (
-        vec![
+        session.set_execution(ExecutionMode::Simulated);
+        let ver_start = std::time::Instant::now();
+        let ver = session
+            .verify(&run.shortcut, &partition, 3 * b)
+            .expect("verification protocol respects the CONGEST constraints");
+        let ver_ms = ver_start.elapsed().as_secs_f64() * 1e3;
+        let stats = ver
+            .report
+            .sim
+            .expect("simulated verification records stats");
+        let good = ver.good.iter().filter(|&&g| g).count();
+
+        let mut row = vec![
+            family.to_string(),
             graph.node_count().to_string(),
             graph.edge_count().to_string(),
             partition.part_count().to_string(),
@@ -694,9 +802,18 @@ fn scale_row(
             stats.messages.to_string(),
             format!("{ver_ms:.0}"),
             format!("{}/{}", good, partition.part_count()),
-        ],
-        stats.rounds,
-    )
+        ];
+        if threads_column {
+            row.insert(4, session.threads().to_string());
+        }
+        table.push(row, None);
+    }
+    table
+}
+
+/// The trivially feasible parameters `(N, 1)`.
+fn part_count_cb(_: &Session<'_>, partition: &Partition) -> (usize, usize) {
+    (partition.part_count(), 1)
 }
 
 /// E9 — the scale tier: FindShortcut plus the Lemma 3 distributed
@@ -710,67 +827,24 @@ fn scale_row(
 /// instead of `reference_parameters`: measuring the existential ancestor
 /// shortcut's quality costs far more than the protocols themselves at
 /// `n = 10⁵` and is not what this table times.
-pub fn e9_scale_table() -> Table {
-    let mut rows = Vec::new();
-    let mut push_row =
-        |family: &str, graph: &Graph, partition: &Partition, cb: Option<(usize, usize)>| {
-            let mut session = session_on(graph, 42);
-            let (c, b) = cb.unwrap_or_else(|| {
-                let (_, reference) = reference_parameters(graph, session.tree(), partition);
-                (
-                    reference.congestion.max(1),
-                    reference.block_parameter.max(1),
-                )
-            });
-            let (cells, _) = scale_row(&mut session, partition, (c, b));
-            let mut row = vec![family.to_string()];
-            row.extend(cells);
-            rows.push(row);
-        };
-
-    {
-        let graph = generators::grid(100, 100);
-        let partition = generators::partitions::grid_columns(100, 100);
-        push_row("grid 100x100, columns", &graph, &partition, None);
-    }
-    {
-        let graph = generators::torus(64, 64);
-        let partition = generators::partitions::random_bfs_balls(&graph, 64, 11);
-        push_row("torus 64x64, 64 BFS balls", &graph, &partition, None);
-    }
-    {
-        let graph = generators::random_connected(100_000, 100_000, 13);
-        let partition = generators::partitions::random_bfs_balls(&graph, 100, 7);
-        let parts = partition.part_count();
-        push_row(
-            "random n=1e5 m=+1e5, 100 BFS balls",
-            &graph,
-            &partition,
-            Some((parts, 1)),
-        );
-    }
-
-    Table {
-        title: "E9: scale tier — FindShortcut + distributed verification at n = 10^4..10^5 (wall-clock ms per step)"
-            .to_string(),
-        headers: [
-            "family",
-            "n",
-            "m",
-            "N",
-            "(c, b)",
-            "fs rounds",
-            "fs ms",
-            "ver rounds",
-            "ver messages",
-            "ver ms",
-            "good",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+fn e9_scale_table() -> Table {
+    scale_table(
+        "E9: scale tier — FindShortcut + distributed verification at n = 10^4..10^5 (wall-clock ms per step)".to_string(),
+        &[
+            ("grid 100x100, columns", || grid_instance(100), |s, p| reference_cb(s, p).1),
+            (
+                "torus 64x64, 64 BFS balls",
+                || balls(torus(64, 64), 64, 11),
+                |s, p| reference_cb(s, p).1,
+            ),
+            (
+                "random n=1e5 m=+1e5, 100 BFS balls",
+                || balls(random_connected(100_000, 100_000, 13), 100, 7),
+                part_count_cb,
+            ),
+        ],
+        false,
+    )
 }
 
 /// E10 — the 10⁶-node tier: the E9 pipeline (FindShortcut + Lemma 3
@@ -786,72 +860,27 @@ pub fn e9_scale_table() -> Table {
 /// these sizes costs far more than the protocols being timed. Grid columns
 /// admit `(side - 1, 1)` (the measured E9 pattern); the ball partitions
 /// use the trivially feasible `(N, 1)`.
-pub fn e10_scale_table() -> Table {
-    let mut threads = 0usize;
-    let mut rows = Vec::new();
-    let mut push_row =
-        |family: &str, graph: &Graph, partition: &Partition, (c, b): (usize, usize)| {
-            let mut session = session_on(graph, 42);
-            threads = session.threads();
-            let (cells, _) = scale_row(&mut session, partition, (c, b));
-            let mut row = vec![family.to_string()];
-            row.extend(cells[..3].iter().cloned());
-            row.push(session.threads().to_string());
-            row.extend(cells[3..].iter().cloned());
-            rows.push(row);
-        };
-
-    {
-        let graph = generators::grid(320, 320);
-        let partition = generators::partitions::grid_columns(320, 320);
-        push_row("grid 320x320, columns", &graph, &partition, (319, 1));
-    }
-    {
-        let graph = generators::torus(256, 256);
-        let partition = generators::partitions::random_bfs_balls(&graph, 256, 11);
-        let parts = partition.part_count();
-        push_row(
-            "torus 256x256, 256 BFS balls",
-            &graph,
-            &partition,
-            (parts, 1),
-        );
-    }
-    {
-        let graph = generators::random_connected(1_000_000, 1_000_000, 13);
-        let partition = generators::partitions::random_bfs_balls(&graph, 128, 7);
-        let parts = partition.part_count();
-        push_row(
-            "random n=1e6 m=+1e6, 128 BFS balls",
-            &graph,
-            &partition,
-            (parts, 1),
-        );
-    }
-
-    Table {
-        title: format!(
+fn e10_scale_table() -> Table {
+    let threads = lcs_api::graph::configured_threads();
+    scale_table(
+        format!(
             "E10: 10^6-node tier — FindShortcut + distributed verification on the sharded engine ({threads} thread(s); values identical for every thread count)"
         ),
-        headers: [
-            "family",
-            "n",
-            "m",
-            "N",
-            "threads",
-            "(c, b)",
-            "fs rounds",
-            "fs ms",
-            "ver rounds",
-            "ver messages",
-            "ver ms",
-            "good",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+        &[
+            ("grid 320x320, columns", || grid_instance(320), |_, _| (319, 1)),
+            (
+                "torus 256x256, 256 BFS balls",
+                || balls(torus(256, 256), 256, 11),
+                part_count_cb,
+            ),
+            (
+                "random n=1e6 m=+1e6, 128 BFS balls",
+                || balls(random_connected(1_000_000, 1_000_000, 13), 128, 7),
+                part_count_cb,
+            ),
+        ],
+        true,
+    )
 }
 
 /// E11 — the serving tier: many queries over partitions of one graph,
@@ -873,28 +902,74 @@ pub fn e10_scale_table() -> Table {
 /// Every row warms up untimed first (both paths run identical code; the
 /// warmup removes first-touch bias), and the warm/cold results are
 /// asserted byte-identical — only the wall-clock may move.
-pub fn e11_serving_table() -> Table {
+fn e11_serving_table() -> Table {
     use std::time::Instant;
 
-    let mut rows = Vec::new();
-    let mut push_family = |family: &str, graph: &Graph, partitions: &[Partition]| {
+    let mut table = Table::new(
+        "E11: serving — warm Session reuse vs cold per-query pipeline setup (results asserted byte-identical; wall-clock ms per query)",
+        &[
+            "family",
+            "shape",
+            "n",
+            "queries",
+            "warm ms/q",
+            "cold ms/q",
+            "cold/warm",
+            "equal",
+        ],
+    );
+    let instances: [Instance<Vec<Partition>>; 3] = [
+        ("grid 32x32, 8 partitions", || {
+            let graph = grid(32, 32);
+            let mut partitions = vec![grid_columns(32, 32)];
+            partitions.extend((0..7u64).map(|s| random_bfs_balls(&graph, 32, s)));
+            (graph, partitions)
+        }),
+        ("torus 24x24, 8 ball partitions", || {
+            let graph = torus(24, 24);
+            let partitions = (0..8u64).map(|s| random_bfs_balls(&graph, 24, s)).collect();
+            (graph, partitions)
+        }),
+        ("wheel W_257, 8 arc partitions", || {
+            let partitions = [4usize, 8, 12, 16, 20, 24, 28, 32]
+                .iter()
+                .map(|&arcs| wheel_arcs(257, arcs))
+                .collect();
+            (wheel(257), partitions)
+        }),
+    ];
+    for (family, build) in instances {
+        let (graph, partitions) = build();
         let refs: Vec<&Partition> = partitions.iter().collect();
         let queries = partitions.len();
+        let mut push_row = |shape: &str, warm_ms: f64, cold_ms: f64, equal: bool| {
+            let row = vec![
+                family.to_string(),
+                shape.to_string(),
+                graph.node_count().to_string(),
+                queries.to_string(),
+                format!("{:.2}", warm_ms / queries as f64),
+                format!("{:.2}", cold_ms / queries as f64),
+                format!("{:.2}", cold_ms / warm_ms.max(f64::MIN_POSITIVE)),
+                equal.to_string(),
+            ];
+            table.push(row, None);
+        };
 
         // -------- construct shape: Session::batch vs per-query sessions.
-        let warmup = session_on(graph, 0)
+        let warmup = session_on(&graph, 0)
             .batch(&refs, Strategy::doubling())
             .expect("serving families admit shortcuts");
 
         let warm_start = Instant::now();
-        let session = session_on(graph, 0);
+        let session = session_on(&graph, 0);
         let warm = session.batch(&refs, Strategy::doubling()).unwrap();
         let warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
 
         let cold_start = Instant::now();
         let mut cold = Vec::with_capacity(queries);
-        for partition in partitions {
-            let one_shot = session_on(graph, 0);
+        for partition in &partitions {
+            let one_shot = session_on(&graph, 0);
             let mut run = one_shot.shortcut(partition, Strategy::doubling()).unwrap();
             run.report.quality = Some(one_shot.quality(&run.shortcut, partition).unwrap());
             cold.push(run);
@@ -908,16 +983,7 @@ pub fn e11_serving_table() -> Table {
                 && w.report.attempts == c.report.attempts
                 && w.report.rounds_charged == c.report.rounds_charged
         });
-        rows.push(vec![
-            family.to_string(),
-            "construct".to_string(),
-            graph.node_count().to_string(),
-            queries.to_string(),
-            format!("{:.2}", warm_ms / queries as f64),
-            format!("{:.2}", cold_ms / queries as f64),
-            format!("{:.2}", cold_ms / warm_ms.max(f64::MIN_POSITIVE)),
-            construct_equal.to_string(),
-        ]);
+        push_row("construct", warm_ms, cold_ms, construct_equal);
 
         // -------- consume shape: "one decomposition, many consumers".
         // The warm session answers verification queries against the
@@ -926,35 +992,29 @@ pub fn e11_serving_table() -> Table {
         // session setup plus shortcut construction — before it can verify.
         let corpus: Vec<_> = warmup.iter().map(|run| &run.shortcut).collect();
         let threshold = 3;
+        let verify_corpus = |session: &Session<'_>| -> Vec<_> {
+            partitions
+                .iter()
+                .zip(&corpus)
+                .map(|(p, sc)| {
+                    let v = session.verify(sc, p, threshold).unwrap();
+                    (v.good, v.block_counts)
+                })
+                .collect()
+        };
 
         // Warmup pass (untimed) doubles as the reference results.
-        let reference_session = session_on(graph, 0);
-        let reference: Vec<_> = partitions
-            .iter()
-            .zip(&corpus)
-            .map(|(p, sc)| {
-                let v = reference_session.verify(sc, p, threshold).unwrap();
-                (v.good, v.block_counts)
-            })
-            .collect();
+        let reference = verify_corpus(&session_on(&graph, 0));
 
         let warm_start = Instant::now();
-        let session = session_on(graph, 0);
-        let warm: Vec<_> = partitions
-            .iter()
-            .zip(&corpus)
-            .map(|(p, sc)| {
-                let v = session.verify(sc, p, threshold).unwrap();
-                (v.good, v.block_counts)
-            })
-            .collect();
+        let warm = verify_corpus(&session_on(&graph, 0));
         let warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
 
         let cold_start = Instant::now();
         let cold: Vec<_> = partitions
             .iter()
             .map(|p| {
-                let one_shot = session_on(graph, 0);
+                let one_shot = session_on(&graph, 0);
                 let run = one_shot.shortcut(p, Strategy::doubling()).unwrap();
                 let v = one_shot.verify(&run.shortcut, p, threshold).unwrap();
                 (v.good, v.block_counts)
@@ -962,61 +1022,37 @@ pub fn e11_serving_table() -> Table {
             .collect();
         let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
 
-        let consume_equal = warm == cold && warm == reference;
-        rows.push(vec![
-            family.to_string(),
-            "consume".to_string(),
-            graph.node_count().to_string(),
-            queries.to_string(),
-            format!("{:.2}", warm_ms / queries as f64),
-            format!("{:.2}", cold_ms / queries as f64),
-            format!("{:.2}", cold_ms / warm_ms.max(f64::MIN_POSITIVE)),
-            consume_equal.to_string(),
-        ]);
+        push_row(
+            "consume",
+            warm_ms,
+            cold_ms,
+            warm == cold && warm == reference,
+        );
+    }
+    table
+}
+
+/// The six-entry workload corpus of `family` at `size` that E13 and E14
+/// serve.
+fn workload_corpus(family: Family, size: usize) -> Corpus {
+    let spec = CorpusSpec {
+        family,
+        size,
+        entries: 6,
+        seed: 42,
     };
+    Corpus::build(&spec).expect("workload corpora build")
+}
 
-    {
-        let graph = generators::grid(32, 32);
-        let mut partitions = vec![generators::partitions::grid_columns(32, 32)];
-        for seed in 0..7u64 {
-            partitions.push(generators::partitions::random_bfs_balls(&graph, 32, seed));
-        }
-        push_family("grid 32x32, 8 partitions", &graph, &partitions);
-    }
-    {
-        let graph = generators::torus(24, 24);
-        let partitions: Vec<Partition> = (0..8u64)
-            .map(|seed| generators::partitions::random_bfs_balls(&graph, 24, seed))
-            .collect();
-        push_family("torus 24x24, 8 ball partitions", &graph, &partitions);
-    }
-    {
-        let graph = generators::wheel(257);
-        let partitions: Vec<Partition> = [4usize, 8, 12, 16, 20, 24, 28, 32]
-            .iter()
-            .map(|&arcs| generators::partitions::wheel_arcs(257, arcs))
-            .collect();
-        push_family("wheel W_257, 8 arc partitions", &graph, &partitions);
-    }
+/// E13's open-loop pacing: a Poisson arrival every 0.5 ms on average,
+/// near saturation.
+const E13_OPEN: Mode = Mode::Open {
+    mean_interarrival_nanos: 500_000,
+};
 
-    Table {
-        title: "E11: serving — warm Session reuse vs cold per-query pipeline setup (results asserted byte-identical; wall-clock ms per query)"
-            .to_string(),
-        headers: [
-            "family",
-            "shape",
-            "n",
-            "queries",
-            "warm ms/q",
-            "cold ms/q",
-            "cold/warm",
-            "equal",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    }
+/// An E13 trace: 160 queries, seed 17.
+fn e13_spec(mode: Mode, theta: f64, mix: QueryMix) -> WorkloadSpec {
+    WorkloadSpec::new(mode, 160, theta, mix, 17)
 }
 
 /// E13 — workload-driven serving: open- and closed-loop clients replaying
@@ -1034,55 +1070,40 @@ pub fn e11_serving_table() -> Table {
 /// `det` column asserts the two result-value digests are identical — the
 /// determinism contract the workload layer guarantees at any thread count.
 ///
-/// Returns the table plus a JSON document with each row's *full* latency
-/// histogram (the `--json` output embeds it under `"extra"`), because
+/// Each row's extra carries its *full* latency histogram, because
 /// p50/p95/p99 alone cannot show a bimodal service-time split.
-pub fn e13_workload_table() -> (Table, String) {
-    use lcs_workload::{run_workload, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec};
-
-    const QUERIES: usize = 160;
-    const CLIENTS: usize = 4;
-    const MEAN_INTERARRIVAL_NANOS: u64 = 500_000; // 0.5 ms — near saturation
-
+fn e13_workload_table() -> Table {
     let corpora = [
-        Corpus::build(&CorpusSpec {
-            family: Family::Grid,
-            size: 16,
-            entries: 6,
-            seed: 42,
-        })
-        .expect("grid corpus builds"),
-        Corpus::build(&CorpusSpec {
-            family: Family::Torus,
-            size: 12,
-            entries: 6,
-            seed: 42,
-        })
-        .expect("torus corpus builds"),
+        workload_corpus(Family::Grid, 16),
+        workload_corpus(Family::Torus, 12),
     ];
     let modes = [
-        Mode::Open {
-            mean_interarrival_nanos: MEAN_INTERARRIVAL_NANOS,
-        },
+        E13_OPEN,
         Mode::Closed {
-            clients: CLIENTS,
+            clients: 4,
             think_nanos: 0,
         },
     ];
 
     let micros = |nanos: u64| format!("{:.1}", nanos as f64 / 1e3);
-    let mut rows = Vec::new();
-    let mut extras = Vec::new();
+    let mut table = Table::new(
+        "E13: workload serving — open/closed-loop clients, Zipf(theta) traffic over pre-built corpora (latency in microseconds; det = rerun digests identical)",
+        &[
+            "family", "mode", "theta", "mix", "queries", "clients", "p50 us", "p95 us", "p99 us",
+            "max us", "qps", "det",
+        ],
+    );
     for corpus in &corpora {
         for &theta in &[0.0f64, 1.0] {
             for &mix in &[QueryMix::consume(), QueryMix::mixed()] {
                 for &mode in &modes {
-                    let spec = WorkloadSpec::new(mode, QUERIES, theta, mix, 17);
-                    let outcome = run_workload(corpus, &spec).expect("workload runs");
-                    let rerun = run_workload(corpus, &spec).expect("workload reruns");
-                    let deterministic = outcome.digest == rerun.digest;
+                    let spec = e13_spec(mode, theta, mix);
+                    let (outcome, deterministic) = rerun(
+                        || lcs_workload::run_workload(corpus, &spec).expect("workload runs"),
+                        |outcome| outcome.digest,
+                    );
                     let h = &outcome.histogram;
-                    rows.push(vec![
+                    let row = vec![
                         corpus.label().to_string(),
                         mode.label().to_string(),
                         format!("{theta:.0}"),
@@ -1095,8 +1116,8 @@ pub fn e13_workload_table() -> (Table, String) {
                         micros(h.max()),
                         format!("{:.0}", outcome.throughput_qps()),
                         deterministic.to_string(),
-                    ]);
-                    extras.push(format!(
+                    ];
+                    let extra = format!(
                         "{{\"family\":\"{}\",\"mode\":\"{}\",\"theta\":{theta:.1},\"mix\":\"{}\",\"clients\":{},\"queries\":{},\"qps\":{:.1},\"deterministic\":{},\"digest\":{},\"histogram\":{}}}",
                         corpus.label(),
                         mode.label(),
@@ -1107,54 +1128,21 @@ pub fn e13_workload_table() -> (Table, String) {
                         deterministic,
                         outcome.digest,
                         h.to_json(),
-                    ));
+                    );
+                    table.push(row, Some(extra));
                 }
             }
         }
     }
-
-    let table = Table {
-        title: "E13: workload serving — open/closed-loop clients, Zipf(theta) traffic over pre-built corpora (latency in microseconds; det = rerun digests identical)"
-            .to_string(),
-        headers: [
-            "family", "mode", "theta", "mix", "queries", "clients", "p50 us", "p95 us", "p99 us",
-            "max us", "qps", "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+    table
 }
 
-/// One E14 measurement: the operation timed with instrumentation off and
-/// on, plus the determinism evidence of the recording runs.
-struct ObsRow {
-    label: String,
-    n: usize,
-    off_ms: f64,
-    on_ms: f64,
-    snapshot: lcs_obs::MetricsSnapshot,
-    /// Counter halves of two independent recording runs byte-identical.
-    deterministic: bool,
-}
-
-impl ObsRow {
-    fn overhead_pct(&self) -> f64 {
-        if self.off_ms <= 0.0 {
-            0.0
-        } else {
-            (self.on_ms - self.off_ms) / self.off_ms * 100.0
-        }
-    }
-}
-
-/// Times `run` twice with an off handle (min), then twice with fresh
-/// recording registries (min), and checks the two recording snapshots'
-/// counter halves are byte-identical — "timings are measurements; counts
-/// are facts" as a measured table cell rather than a doc claim.
-fn obs_row(label: &str, n: usize, mut run: impl FnMut(&lcs_obs::Obs)) -> ObsRow {
+/// One E14 row and its extra: `run` timed twice with an off handle (min),
+/// then twice under each of two fresh recording registries (min of all
+/// four). `det` asserts the two recording snapshots' counter halves are
+/// byte-identical — "timings are measurements; counts are facts" as a
+/// measured table cell rather than a doc claim.
+fn obs_row(label: &str, n: usize, mut run: impl FnMut(&lcs_obs::Obs)) -> (Vec<String>, String) {
     let mut time_with = |obs: &lcs_obs::Obs| {
         let mut best = f64::INFINITY;
         for _ in 0..2 {
@@ -1165,19 +1153,42 @@ fn obs_row(label: &str, n: usize, mut run: impl FnMut(&lcs_obs::Obs)) -> ObsRow 
         best
     };
     let off_ms = time_with(&lcs_obs::Obs::off());
-    let first = lcs_obs::Obs::recording();
-    let second = lcs_obs::Obs::recording();
-    let on_ms = time_with(&first).min(time_with(&second));
-    let a = first.snapshot();
-    let b = second.snapshot();
-    ObsRow {
-        label: label.to_string(),
+    let mut on_ms = f64::INFINITY;
+    let (snapshot, deterministic) = rerun(
+        || {
+            let obs = lcs_obs::Obs::recording();
+            on_ms = on_ms.min(time_with(&obs));
+            obs.snapshot()
+        },
+        |snapshot| snapshot.counters_text(),
+    );
+    let overhead_pct = if off_ms <= 0.0 {
+        0.0
+    } else {
+        (on_ms - off_ms) / off_ms * 100.0
+    };
+    let row = vec![
+        label.to_string(),
+        n.to_string(),
+        format!("{off_ms:.1}"),
+        format!("{on_ms:.1}"),
+        format!("{overhead_pct:+.1}"),
+        snapshot.counters.len().to_string(),
+        format!("{:016x}", snapshot.counters_digest()),
+        deterministic.to_string(),
+    ];
+    let extra = format!(
+        "{{\"label\":\"{}\",\"n\":{},\"off_ms\":{:.3},\"on_ms\":{:.3},\"overhead_pct\":{:.2},\"counters_digest\":\"{:016x}\",\"deterministic\":{},\"snapshot\":{}}}",
+        lcs_obs::json::escape(label),
         n,
         off_ms,
         on_ms,
-        deterministic: a.counters_text() == b.counters_text(),
-        snapshot: a,
-    }
+        overhead_pct,
+        snapshot.counters_digest(),
+        deterministic,
+        snapshot.to_json(),
+    );
+    (row, extra)
 }
 
 /// E14 — instrumentation overhead: representative E9/E13 operations timed
@@ -1187,109 +1198,12 @@ fn obs_row(label: &str, n: usize, mut run: impl FnMut(&lcs_obs::Obs)) -> ObsRow 
 /// gauges, timers, and spans. `det` asserts the counter half of the
 /// snapshot is byte-identical across two independent recording runs —
 /// counters are thread- and rerun-invariant facts, timers are
-/// measurements. The extra JSON payload carries each row's full
+/// measurements. Each row's extra carries its full
 /// [`lcs_obs::MetricsSnapshot`].
-pub fn e14_obs_table() -> (Table, String) {
-    use lcs_workload::{
-        run_workload_obs, Corpus, CorpusSpec, Family, Mode, QueryMix, WorkloadSpec,
-    };
-
-    let mut rows = Vec::new();
-    let mut extras = Vec::new();
-    let mut push = |row: ObsRow| {
-        rows.push(vec![
-            row.label.clone(),
-            row.n.to_string(),
-            format!("{:.1}", row.off_ms),
-            format!("{:.1}", row.on_ms),
-            format!("{:+.1}", row.overhead_pct()),
-            row.snapshot.counters.len().to_string(),
-            format!("{:016x}", row.snapshot.counters_digest()),
-            row.deterministic.to_string(),
-        ]);
-        extras.push(format!(
-            "{{\"label\":\"{}\",\"n\":{},\"off_ms\":{:.3},\"on_ms\":{:.3},\"overhead_pct\":{:.2},\"counters_digest\":\"{:016x}\",\"deterministic\":{},\"snapshot\":{}}}",
-            lcs_obs::json::escape(&row.label),
-            row.n,
-            row.off_ms,
-            row.on_ms,
-            row.overhead_pct(),
-            row.snapshot.counters_digest(),
-            row.deterministic,
-            row.snapshot.to_json(),
-        ));
-    };
-
-    // Simulated verification rows: the operation E9 times. The shortcut is
-    // built once per instance, outside the measured region; each timed run
-    // constructs a recorder-carrying session and serves one verify query.
-    let mut verify_row = |label: &str, graph: &Graph, partition: &Partition, b: usize| {
-        let setup = session_on(graph, 42);
-        let run = setup
-            .shortcut(
-                partition,
-                Strategy::Fixed {
-                    congestion: partition.part_count(),
-                    block: b,
-                },
-            )
-            .expect("E14 instances admit shortcuts");
-        push(obs_row(label, graph.node_count(), |obs| {
-            let session = Pipeline::on(graph)
-                .seed(42)
-                .execution(ExecutionMode::Simulated)
-                .recorder(obs.clone())
-                .build()
-                .expect("E14 instances are nonempty and connected");
-            session
-                .verify(&run.shortcut, partition, 3 * b)
-                .expect("verification protocol respects the CONGEST constraints");
-        }));
-    };
-    {
-        let graph = generators::grid(64, 64);
-        let partition = generators::partitions::grid_columns(64, 64);
-        verify_row("grid 64x64 columns, sim verify", &graph, &partition, 1);
-    }
-    {
-        let graph = generators::grid(100, 100);
-        let partition = generators::partitions::grid_columns(100, 100);
-        verify_row("grid 100x100 columns, sim verify", &graph, &partition, 1);
-    }
-
-    // Workload row: the E13 open-loop consume configuration on the grid
-    // corpus — the driver adds its own probes (lag, queue depth) on top of
-    // the per-query serve probes.
-    {
-        let corpus = Corpus::build(&CorpusSpec {
-            family: Family::Grid,
-            size: 16,
-            entries: 6,
-            seed: 42,
-        })
-        .expect("grid corpus builds");
-        let spec = WorkloadSpec::new(
-            Mode::Open {
-                mean_interarrival_nanos: 500_000,
-            },
-            160,
-            1.0,
-            QueryMix::consume(),
-            17,
-        );
-        push(obs_row(
-            "grid16 corpus, open consume x160",
-            corpus.graph().node_count(),
-            |obs| {
-                run_workload_obs(&corpus, &spec, obs).expect("workload runs");
-            },
-        ));
-    }
-
-    let table = Table {
-        title: "E14: instrumentation overhead — recorder off vs on (det = counter snapshots of two recording runs byte-identical)"
-            .to_string(),
-        headers: [
+fn e14_obs_table() -> Table {
+    let mut table = Table::new(
+        "E14: instrumentation overhead — recorder off vs on (det = counter snapshots of two recording runs byte-identical)",
+        &[
             "operation",
             "n",
             "off ms",
@@ -1298,13 +1212,50 @@ pub fn e14_obs_table() -> (Table, String) {
             "counters",
             "ctr digest",
             "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+        ],
+    );
+
+    // Simulated verification rows: the operation E9 times. The shortcut is
+    // built once per instance, outside the measured region; each timed run
+    // constructs a recorder-carrying session and serves one verify query.
+    let instances: [Instance; 2] = [
+        ("grid 64x64 columns, sim verify", || grid_instance(64)),
+        ("grid 100x100 columns, sim verify", || grid_instance(100)),
+    ];
+    for (label, build) in instances {
+        let (graph, partition) = build();
+        let b = 1;
+        let run = session_on(&graph, 42)
+            .shortcut(&partition, fixed((partition.part_count(), b)))
+            .expect("E14 instances admit shortcuts");
+        let (row, extra) = obs_row(label, graph.node_count(), |obs| {
+            let session = Pipeline::on(&graph)
+                .seed(42)
+                .execution(ExecutionMode::Simulated)
+                .recorder(obs.clone())
+                .build()
+                .expect("E14 instances are nonempty and connected");
+            session
+                .verify(&run.shortcut, &partition, 3 * b)
+                .expect("verification protocol respects the CONGEST constraints");
+        });
+        table.push(row, Some(extra));
+    }
+
+    // Workload row: the E13 open-loop consume configuration on the grid
+    // corpus — the driver adds its own probes (lag, queue depth) on top of
+    // the per-query serve probes.
+    let corpus = workload_corpus(Family::Grid, 16);
+    let spec = e13_spec(E13_OPEN, 1.0, QueryMix::consume());
+    let (row, extra) = obs_row(
+        "grid16 corpus, open consume x160",
+        corpus.graph().node_count(),
+        |obs| {
+            lcs_workload::run_workload_obs(&corpus, &spec, obs).expect("workload runs");
+        },
+    );
+    table.push(row, Some(extra));
+    table
 }
 
 /// E15 — robustness tier: fault-injected simulated verification across
@@ -1315,22 +1266,13 @@ pub fn e14_obs_table() -> (Table, String) {
 /// rounds) are byte-identical — fault draws are a pure function of the
 /// plan, never of thread count or rerun. `inflate` is the executed-round
 /// inflation over the fault-free simulated baseline; the verdict is
-/// asserted correct (all parts good, as fault-free) on every row. The
-/// extra JSON payload carries each row's digest for the cross-thread
-/// assertion CI performs on `BENCH_FAULTS_T{1,4}.json`.
-pub fn e15_faults_table() -> (Table, String) {
+/// asserted correct (all parts good, as fault-free) on every row. Each
+/// row's extra carries its digest for the cross-thread assertion CI
+/// performs on `BENCH_FAULTS_T{1,4}.json`.
+fn e15_faults_table() -> Table {
     use lcs_api::existential::ancestor_shortcut;
     use lcs_api::{FaultPlan, VerifyRun};
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn mix(mut h: u64, v: u64) -> u64 {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
     fn metric(run: &VerifyRun, key: &str) -> Option<u64> {
         run.report
             .metrics
@@ -1343,169 +1285,23 @@ pub fn e15_faults_table() -> (Table, String) {
     // includes the `fault/*` event counters — drops, duplicates, delays,
     // crash drops, restarts are thread-invariant facts of the plan.
     fn digest_of(run: &VerifyRun, counters_digest: u64) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut d = ValueDigest::new();
         for &g in &run.good {
-            h = mix(h, u64::from(g));
+            d.push(u64::from(g));
         }
         for &c in &run.block_counts {
-            h = mix(h, c as u64);
+            d.push(c as u64);
         }
-        h = mix(h, metric(run, "retry_epochs").unwrap_or(1));
-        h = mix(h, metric(run, "retry_stalls").unwrap_or(0));
-        h = mix(h, run.report.rounds_executed.unwrap_or(0));
-        mix(h, counters_digest)
+        d.push(metric(run, "retry_epochs").unwrap_or(1));
+        d.push(metric(run, "retry_stalls").unwrap_or(0));
+        d.push(run.report.rounds_executed.unwrap_or(0));
+        d.push(counters_digest);
+        d.value()
     }
 
-    let mut rows = Vec::new();
-    let mut extras = Vec::new();
-    let mut instance = |label: &str,
-                        graph: &Graph,
-                        partition: &Partition,
-                        plans: &[(&str, FaultPlan)]| {
-        let setup = session_on(graph, 42);
-        let shortcut = ancestor_shortcut(graph, setup.tree(), partition);
-        // Two supersteps of flood slack above the exact block parameter,
-        // so the fault-free verdict is all-good with margin to spare.
-        let threshold = setup
-            .quality(&shortcut, partition)
-            .expect("partition matches the instance graph")
-            .block_parameter
-            + 2;
-        let plain_session = Pipeline::on(graph)
-            .seed(42)
-            .execution(ExecutionMode::Simulated)
-            .build()
-            .expect("E15 instances are nonempty and connected");
-        let plain = plain_session
-            .verify(&shortcut, partition, threshold)
-            .expect("fault-free verification runs");
-        assert!(
-            plain.good.iter().all(|&g| g),
-            "E15 baseline must verify all-good on {label}"
-        );
-        let plain_rounds = plain.report.rounds_executed.unwrap_or(0).max(1);
-        for (fault_label, plan) in plans {
-            let run_once = || {
-                let obs = lcs_obs::Obs::recording();
-                let session = Pipeline::on(graph)
-                    .seed(42)
-                    .execution(ExecutionMode::Simulated)
-                    .fault(*plan)
-                    .recorder(obs.clone())
-                    .build()
-                    .expect("E15 instances are nonempty and connected");
-                let run = session
-                    .verify(&shortcut, partition, threshold)
-                    .expect("E15 fault plans must heal to a decisive verdict");
-                (run, obs.snapshot().counters_digest())
-            };
-            let (run, counters) = run_once();
-            let (rerun, recounters) = run_once();
-            assert!(
-                run.good.iter().all(|&g| g),
-                "E15 fault plan {fault_label} on {label} must heal to the all-good verdict"
-            );
-            let digest = digest_of(&run, counters);
-            let deterministic = digest == digest_of(&rerun, recounters);
-            let rounds = run.report.rounds_executed.unwrap_or(0);
-            let epochs = metric(&run, "retry_epochs").unwrap_or(1);
-            let stalls = metric(&run, "retry_stalls").unwrap_or(0);
-            rows.push(vec![
-                label.to_string(),
-                graph.node_count().to_string(),
-                fault_label.to_string(),
-                plain_rounds.to_string(),
-                rounds.to_string(),
-                format!("{:.2}x", rounds as f64 / plain_rounds as f64),
-                epochs.to_string(),
-                stalls.to_string(),
-                run.good.iter().all(|&g| g).to_string(),
-                format!("{digest:016x}"),
-                deterministic.to_string(),
-            ]);
-            extras.push(format!(
-                    "{{\"instance\":\"{}\",\"fault\":\"{}\",\"plain_rounds\":{},\"rounds\":{},\"epochs\":{},\"stalls\":{},\"digest\":\"{:016x}\",\"deterministic\":{}}}",
-                    lcs_obs::json::escape(label),
-                    lcs_obs::json::escape(fault_label),
-                    plain_rounds,
-                    rounds,
-                    epochs,
-                    stalls,
-                    digest,
-                    deterministic,
-                ));
-        }
-    };
-
-    // The full fault matrix on the grid family; crash schedules always
-    // restart (a permanent crash is the degraded-error path, exercised by
-    // the test suites, not a healable table row).
-    {
-        let (graph, partition) = grid_instance(12);
-        let plans = [
-            ("none", FaultPlan::new(21)),
-            ("lat 2", FaultPlan::new(21).with_latency(2)),
-            ("loss 1%", FaultPlan::new(21).with_loss_ppm(10_000)),
-            (
-                "loss 5% dup 1%",
-                FaultPlan::new(21)
-                    .with_loss_ppm(50_000)
-                    .with_dup_ppm(10_000),
-            ),
-            ("crash 1@10 +40", FaultPlan::new(21).with_crashes(1, 10, 40)),
-            (
-                "lat1 loss1% strag crash",
-                FaultPlan::new(21)
-                    .with_latency(1)
-                    .with_loss_ppm(10_000)
-                    .with_stragglers(250_000, 2)
-                    .with_crashes(1, 10, 40),
-            ),
-        ];
-        instance("grid 12x12 columns", &graph, &partition, &plans);
-    }
-    // One combined plan per remaining family.
-    let combined = |seed: u64| {
-        FaultPlan::new(seed)
-            .with_latency(2)
-            .with_loss_ppm(10_000)
-            .with_crashes(1, 10, 40)
-    };
-    {
-        let graph = generators::torus(12, 12);
-        let partition = generators::partitions::grid_columns(12, 12);
-        instance(
-            "torus 12x12 columns",
-            &graph,
-            &partition,
-            &[("lat2 loss1% crash", combined(22))],
-        );
-    }
-    {
-        let graph = generators::genus_handles(12, 12, 2);
-        let partition = generators::partitions::grid_columns(12, 12);
-        instance(
-            "12x12 + 2 handles",
-            &graph,
-            &partition,
-            &[("lat2 loss1% crash", combined(23))],
-        );
-    }
-    {
-        let graph = generators::wheel(129);
-        let partition = generators::partitions::wheel_arcs(129, 8);
-        instance(
-            "wheel 129 arcs",
-            &graph,
-            &partition,
-            &[("lat2 loss1% crash", combined(24))],
-        );
-    }
-
-    let table = Table {
-        title: "E15: robustness — fault-injected verification (verdict asserted correct; det = digests of two same-plan runs identical)"
-            .to_string(),
-        headers: [
+    let mut table = Table::new(
+        "E15: robustness — fault-injected verification (verdict asserted correct; det = digests of two same-plan runs identical)",
+        &[
             "instance",
             "n",
             "fault plan",
@@ -1517,13 +1313,135 @@ pub fn e15_faults_table() -> (Table, String) {
             "good",
             "digest",
             "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
+        ],
+    );
+
+    // The full fault matrix on the grid family; crash schedules always
+    // restart (a permanent crash is the degraded-error path, exercised by
+    // the test suites, not a healable table row). One combined plan per
+    // remaining family.
+    let combined = |seed: u64| {
+        vec![(
+            "lat2 loss1% crash",
+            FaultPlan::new(seed)
+                .with_latency(2)
+                .with_loss_ppm(10_000)
+                .with_crashes(1, 10, 40),
+        )]
     };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+    let instances: [(Instance, Vec<(&str, FaultPlan)>); 4] = [
+        (
+            ("grid 12x12 columns", || grid_instance(12)),
+            vec![
+                ("none", FaultPlan::new(21)),
+                ("lat 2", FaultPlan::new(21).with_latency(2)),
+                ("loss 1%", FaultPlan::new(21).with_loss_ppm(10_000)),
+                (
+                    "loss 5% dup 1%",
+                    FaultPlan::new(21)
+                        .with_loss_ppm(50_000)
+                        .with_dup_ppm(10_000),
+                ),
+                ("crash 1@10 +40", FaultPlan::new(21).with_crashes(1, 10, 40)),
+                (
+                    "lat1 loss1% strag crash",
+                    FaultPlan::new(21)
+                        .with_latency(1)
+                        .with_loss_ppm(10_000)
+                        .with_stragglers(250_000, 2)
+                        .with_crashes(1, 10, 40),
+                ),
+            ],
+        ),
+        (
+            ("torus 12x12 columns", || columns(torus(12, 12), 12)),
+            combined(22),
+        ),
+        (
+            ("12x12 + 2 handles", || {
+                columns(genus_handles(12, 12, 2), 12)
+            }),
+            combined(23),
+        ),
+        (("wheel 129 arcs", || arcs(129, 8)), combined(24)),
+    ];
+    for ((label, build), plans) in instances {
+        let (graph, partition) = build();
+        let setup = session_on(&graph, 42);
+        let shortcut = ancestor_shortcut(&graph, setup.tree(), &partition);
+        // Two supersteps of flood slack above the exact block parameter,
+        // so the fault-free verdict is all-good with margin to spare.
+        let threshold = setup
+            .quality(&shortcut, &partition)
+            .expect("partition matches the instance graph")
+            .block_parameter
+            + 2;
+        let plain = Pipeline::on(&graph)
+            .seed(42)
+            .execution(ExecutionMode::Simulated)
+            .build()
+            .expect("E15 instances are nonempty and connected")
+            .verify(&shortcut, &partition, threshold)
+            .expect("fault-free verification runs");
+        assert!(
+            plain.good.iter().all(|&g| g),
+            "E15 baseline must verify all-good on {label}"
+        );
+        let plain_rounds = plain.report.rounds_executed.unwrap_or(0).max(1);
+        for (fault_label, plan) in plans {
+            let ((run, counters), deterministic) = rerun(
+                || {
+                    let obs = lcs_obs::Obs::recording();
+                    let session = Pipeline::on(&graph)
+                        .seed(42)
+                        .execution(ExecutionMode::Simulated)
+                        .fault(plan)
+                        .recorder(obs.clone())
+                        .build()
+                        .expect("E15 instances are nonempty and connected");
+                    let run = session
+                        .verify(&shortcut, &partition, threshold)
+                        .expect("E15 fault plans must heal to a decisive verdict");
+                    (run, obs.snapshot().counters_digest())
+                },
+                |(run, counters)| digest_of(run, *counters),
+            );
+            assert!(
+                run.good.iter().all(|&g| g),
+                "E15 fault plan {fault_label} on {label} must heal to the all-good verdict"
+            );
+            let digest = digest_of(&run, counters);
+            let rounds = run.report.rounds_executed.unwrap_or(0);
+            let epochs = metric(&run, "retry_epochs").unwrap_or(1);
+            let stalls = metric(&run, "retry_stalls").unwrap_or(0);
+            let row = vec![
+                label.to_string(),
+                graph.node_count().to_string(),
+                fault_label.to_string(),
+                plain_rounds.to_string(),
+                rounds.to_string(),
+                format!("{:.2}x", rounds as f64 / plain_rounds as f64),
+                epochs.to_string(),
+                stalls.to_string(),
+                run.good.iter().all(|&g| g).to_string(),
+                format!("{digest:016x}"),
+                deterministic.to_string(),
+            ];
+            let extra = format!(
+                "{{\"instance\":\"{}\",\"fault\":\"{}\",\"plain_rounds\":{},\"rounds\":{},\"epochs\":{},\"stalls\":{},\"digest\":\"{:016x}\",\"deterministic\":{}}}",
+                lcs_obs::json::escape(label),
+                lcs_obs::json::escape(fault_label),
+                plain_rounds,
+                rounds,
+                epochs,
+                stalls,
+                digest,
+                deterministic,
+            );
+            table.push(row, Some(extra));
+        }
+    }
+    table
 }
 
 /// E16 — update-vs-rebuild tier: incremental decomposition repair
@@ -1535,37 +1453,27 @@ pub fn e15_faults_table() -> (Table, String) {
 /// edge sets, the quality record, per-part verdicts); `det` asserts the
 /// repaired and rebuilt digests are byte-identical — the part-scoped
 /// seeds are anchored at each part's minimum member, so reuse never
-/// changes a single byte. The extra JSON payload carries each row's
-/// digest for the cross-thread assertion CI performs on
-/// `BENCH_REPAIR_T{1,4}.json`.
-pub fn e16_repair_table() -> (Table, String) {
+/// changes a single byte. Each row's extra carries its digest for the
+/// cross-thread assertion CI performs on `BENCH_REPAIR_T{1,4}.json`.
+fn e16_repair_table() -> Table {
     use lcs_api::{PartitionDelta, RepairRun};
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    fn mix(mut h: u64, v: u64) -> u64 {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
-    }
     fn digest_of(run: &RepairRun) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut d = ValueDigest::new();
         for p in 0..run.shortcut.part_count() {
             let edges = run.shortcut.edges_of(lcs_api::graph::PartId::new(p));
-            h = mix(h, edges.len() as u64);
+            d.push(edges.len() as u64);
             for &e in edges {
-                h = mix(h, e.index() as u64);
+                d.push(e.index() as u64);
             }
         }
-        h = mix(h, run.quality.congestion as u64);
-        h = mix(h, run.quality.dilation as u64);
-        h = mix(h, run.quality.block_parameter as u64);
+        d.push(run.quality.congestion as u64);
+        d.push(run.quality.dilation as u64);
+        d.push(run.quality.block_parameter as u64);
         for &g in &run.good {
-            h = mix(h, u64::from(g));
+            d.push(u64::from(g));
         }
-        h
+        d.value()
     }
 
     /// A churn delta moving `moved_target` boundary nodes into adjacent
@@ -1608,92 +1516,9 @@ pub fn e16_repair_table() -> (Table, String) {
         delta
     }
 
-    let mut rows = Vec::new();
-    let mut extras = Vec::new();
-    let mut instance = |label: &str, graph: &Graph, partition: &Partition, seed: u64| {
-        let mut session = session_on(graph, seed);
-        session
-            .track_partition(partition, Strategy::doubling())
-            .expect("E16 instances admit good shortcuts");
-        let parts = partition.part_count();
-        let shapes = [
-            ("1 node", 1usize),
-            ("1% parts", (parts / 100).max(1)),
-            ("10% parts", (parts / 10).max(2)),
-            ("50% parts", (parts / 2).max(3)),
-        ];
-        for (shape, moved) in shapes {
-            let delta = churn_delta(graph, partition, moved);
-            let target = partition.apply(&delta).expect("churn deltas are valid");
-            let baseline = session.repair_baseline().expect("tracked above");
-
-            let start = std::time::Instant::now();
-            let repaired = session
-                .repair_from(&baseline, &delta)
-                .expect("valid deltas repair cleanly");
-            let repair_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            let mut rebuild_session = session_on(graph, seed);
-            let start = std::time::Instant::now();
-            let rebuilt = rebuild_session
-                .track_partition(&target, Strategy::doubling())
-                .expect("the post-delta partition is valid");
-            let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            let digest = digest_of(&repaired);
-            let deterministic = digest == digest_of(&rebuilt);
-            assert!(
-                deterministic,
-                "E16 repair and rebuild diverged on {label} / {shape}"
-            );
-            rows.push(vec![
-                label.to_string(),
-                graph.node_count().to_string(),
-                parts.to_string(),
-                shape.to_string(),
-                moved.to_string(),
-                repaired.repaired_parts.to_string(),
-                repaired.reused_parts.to_string(),
-                format!("{repair_ms:.1}"),
-                format!("{rebuild_ms:.1}"),
-                format!("{:.1}x", rebuild_ms / repair_ms.max(1e-9)),
-                format!("{digest:016x}"),
-                deterministic.to_string(),
-            ]);
-            extras.push(format!(
-                "{{\"instance\":\"{}\",\"shape\":\"{}\",\"moved\":{},\"repaired_parts\":{},\"reused_parts\":{},\"repair_ms\":{:.3},\"rebuild_ms\":{:.3},\"digest\":\"{:016x}\",\"deterministic\":{}}}",
-                lcs_obs::json::escape(label),
-                lcs_obs::json::escape(shape),
-                moved,
-                repaired.repaired_parts,
-                repaired.reused_parts,
-                repair_ms,
-                rebuild_ms,
-                digest,
-                deterministic,
-            ));
-        }
-    };
-
-    {
-        let (graph, partition) = grid_instance(100);
-        instance("grid 100x100 columns", &graph, &partition, 31);
-    }
-    {
-        let graph = generators::torus(100, 100);
-        let partition = generators::partitions::grid_columns(100, 100);
-        instance("torus 100x100 columns", &graph, &partition, 32);
-    }
-    {
-        let graph = generators::random_connected(10_000, 12_000, 33);
-        let partition = generators::partitions::random_bfs_balls(&graph, 100, 33);
-        instance("random n=10^4 bfs balls", &graph, &partition, 33);
-    }
-
-    let table = Table {
-        title: "E16: incremental repair — update_partition vs full rebuild (det = repaired and rebuilt digests identical)"
-            .to_string(),
-        headers: [
+    let mut table = Table::new(
+        "E16: incremental repair — update_partition vs full rebuild (det = repaired and rebuilt digests identical)",
+        &[
             "instance",
             "n",
             "parts",
@@ -1706,87 +1531,88 @@ pub fn e16_repair_table() -> (Table, String) {
             "speedup",
             "digest",
             "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
-}
+        ],
+    );
+    let instances: [(Instance, u64); 3] = [
+        (("grid 100x100 columns", || grid_instance(100)), 31),
+        (
+            ("torus 100x100 columns", || columns(torus(100, 100), 100)),
+            32,
+        ),
+        (
+            ("random n=10^4 bfs balls", || {
+                balls(random_connected(10_000, 12_000, 33), 100, 33)
+            }),
+            33,
+        ),
+    ];
+    for ((label, build), seed) in instances {
+        let (graph, partition) = build();
+        let mut session = session_on(&graph, seed);
+        session
+            .track_partition(&partition, Strategy::doubling())
+            .expect("E16 instances admit good shortcuts");
+        let parts = partition.part_count();
+        let shapes = [
+            ("1 node", 1usize),
+            ("1% parts", (parts / 100).max(1)),
+            ("10% parts", (parts / 10).max(2)),
+            ("50% parts", (parts / 2).max(3)),
+        ];
+        for (shape, moved) in shapes {
+            let delta = churn_delta(&graph, &partition, moved);
+            let target = partition.apply(&delta).expect("churn deltas are valid");
+            let baseline = session.repair_baseline().expect("tracked above");
 
-/// A built table together with the wall-clock time it took to build — the
-/// quantity the bench trajectory (`BENCH_SCALE.json`) tracks across PRs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedTable {
-    /// Experiment id (`"e1"` … `"e13"`).
-    pub id: String,
-    /// The rendered table.
-    pub table: Table,
-    /// Wall-clock build time in milliseconds.
-    pub millis: f64,
-    /// Optional pre-serialized JSON payload the table builder wants
-    /// embedded verbatim in the `--json` output (E13 ships its full
-    /// latency histograms this way).
-    pub extra_json: Option<String>,
-}
+            let start = std::time::Instant::now();
+            let repaired = session
+                .repair_from(&baseline, &delta)
+                .expect("valid deltas repair cleanly");
+            let repair_ms = start.elapsed().as_secs_f64() * 1e3;
 
-/// Builds a table through `build`, measuring the wall-clock time.
-pub fn timed_table(id: &str, build: impl FnOnce() -> Table) -> TimedTable {
-    timed_table_with_extra(id, || (build(), None))
-}
+            let mut rebuild_session = session_on(&graph, seed);
+            let start = std::time::Instant::now();
+            let rebuilt = rebuild_session
+                .track_partition(&target, Strategy::doubling())
+                .expect("the post-delta partition is valid");
+            let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
 
-/// [`timed_table`] for builders that also produce an extra JSON payload
-/// (`Some` to embed it under the table's `"extra"` key).
-pub fn timed_table_with_extra(
-    id: &str,
-    build: impl FnOnce() -> (Table, Option<String>),
-) -> TimedTable {
-    let start = std::time::Instant::now();
-    let (table, extra_json) = build();
-    let millis = start.elapsed().as_secs_f64() * 1e3;
-    TimedTable {
-        id: id.to_string(),
-        table,
-        millis,
-        extra_json,
+            let digest = digest_of(&repaired);
+            let deterministic = digest == digest_of(&rebuilt);
+            assert!(
+                deterministic,
+                "E16 repair and rebuild diverged on {label} / {shape}"
+            );
+            let row = vec![
+                label.to_string(),
+                graph.node_count().to_string(),
+                parts.to_string(),
+                shape.to_string(),
+                moved.to_string(),
+                repaired.repaired_parts.to_string(),
+                repaired.reused_parts.to_string(),
+                format!("{repair_ms:.1}"),
+                format!("{rebuild_ms:.1}"),
+                format!("{:.1}x", rebuild_ms / repair_ms.max(1e-9)),
+                format!("{digest:016x}"),
+                deterministic.to_string(),
+            ];
+            let extra = format!(
+                "{{\"instance\":\"{}\",\"shape\":\"{}\",\"moved\":{},\"repaired_parts\":{},\"reused_parts\":{},\"repair_ms\":{:.3},\"rebuild_ms\":{:.3},\"digest\":\"{:016x}\",\"deterministic\":{}}}",
+                lcs_obs::json::escape(label),
+                lcs_obs::json::escape(shape),
+                moved,
+                repaired.repaired_parts,
+                repaired.reused_parts,
+                repair_ms,
+                rebuild_ms,
+                digest,
+                deterministic,
+            );
+            table.push(row, Some(extra));
+        }
     }
-}
-
-/// Renders a list of tables as a single machine-readable JSON document
-/// (hand-rolled writer: the build environment has no serde). Each table
-/// entry carries its wall-clock build time in milliseconds; the document
-/// records the engine thread count the run used (`--threads` /
-/// `LCS_THREADS`), so downstream consumers (the `BENCH_SCALE.json`
-/// trajectory, CI artifacts) can attribute timings to an engine.
-pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
-    use lcs_obs::json::{escape as esc, string_array};
-
-    let mut entries = Vec::new();
-    for timed in tables {
-        let table = &timed.table;
-        let rows: Vec<String> = table.rows.iter().map(|r| string_array(r)).collect();
-        // `extra` is a pre-serialized JSON document from the table builder
-        // (e.g. E13's full histograms) and is embedded verbatim.
-        let extra = match &timed.extra_json {
-            Some(extra) => format!(",\"extra\":{extra}"),
-            None => String::new(),
-        };
-        entries.push(format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"millis\":{:.3},\"headers\":{},\"rows\":[{}]{}}}",
-            esc(&timed.id),
-            esc(&table.title),
-            timed.millis,
-            string_array(&table.headers),
-            rows.join(","),
-            extra
-        ));
-    }
-    format!(
-        "{{\"generator\":\"experiments\",\"threads\":{},\"tables\":[{}]}}\n",
-        threads,
-        entries.join(",")
-    )
+    table
 }
 
 /// E17 — concurrent TCP serving: one warm session behind the
@@ -1800,18 +1626,15 @@ pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
 /// (`Threads::Fixed(1)` and `Fixed(4)`), and the `det` column asserts
 /// that the TCP replay (the same driver over the `Tcp` transport) has the
 /// digest multiset of both baselines: the wire and the worker
-/// interleaving add latency, never values. Each row's extras record the
+/// interleaving add latency, never values. Each row's extra records the
 /// FNV-1a fold of the *sorted* digest multiset (order-independent, so
 /// byte-comparable across `--threads` runs in CI) plus the full latency
 /// histogram and its p99.9 tail.
-pub fn e17_server_table() -> (Table, String) {
-    use lcs_api::{Threads, ValueDigest};
+fn e17_server_table() -> Table {
+    use lcs_api::Threads;
     use lcs_obs::Obs;
     use lcs_server::{client, ServerConfig, ServerHandle, Tcp};
-    use lcs_workload::{
-        generate_trace, replay, Corpus, CorpusSpec, Family, InProcess, Mode, QueryEvent, QueryMix,
-        WorkloadSpec,
-    };
+    use lcs_workload::{generate_trace, replay, InProcess, QueryEvent};
 
     const QUERIES: usize = 64;
     const SEED: u64 = 23;
@@ -1858,8 +1681,12 @@ pub fn e17_server_table() -> (Table, String) {
     };
 
     let micros = |nanos: u64| format!("{:.1}", nanos as f64 / 1e3);
-    let mut rows = Vec::new();
-    let mut extras = Vec::new();
+    let mut table = Table::new(
+        "E17: concurrent TCP serving — one warm session, loopback clients (latency in microseconds; det = digest multiset equals sequential serve_shared on both engines)",
+        &[
+            "mix", "clients", "queries", "p50 us", "p95 us", "p99 us", "qps", "det",
+        ],
+    );
     for &mix in &[QueryMix::consume(), QueryMix::mixed()] {
         // Client count does not enter trace generation, so every client
         // count replays the same event sequence.
@@ -1888,7 +1715,7 @@ pub fn e17_server_table() -> (Table, String) {
             served.sort_unstable();
             let deterministic = engines_agree && served == serial;
             let h = &outcome.histogram;
-            rows.push(vec![
+            let row = vec![
                 mix.label(),
                 clients.to_string(),
                 outcome.queries.to_string(),
@@ -1897,8 +1724,8 @@ pub fn e17_server_table() -> (Table, String) {
                 micros(h.quantile(0.99)),
                 format!("{:.0}", outcome.throughput_qps()),
                 deterministic.to_string(),
-            ]);
-            extras.push(format!(
+            ];
+            let extra = format!(
                 "{{\"mix\":\"{}\",\"clients\":{clients},\"queries\":{},\"qps\":{:.1},\"deterministic\":{deterministic},\"digest_multiset_fold\":{},\"p999_nanos\":{},\"histogram\":{}}}",
                 mix.label(),
                 outcome.queries,
@@ -1906,41 +1733,96 @@ pub fn e17_server_table() -> (Table, String) {
                 fold(&served),
                 h.p999(),
                 h.to_json(),
-            ));
+            );
+            table.push(row, Some(extra));
         }
     }
     client::shutdown(server.addr()).expect("server shuts down");
     server.join().expect("server drains");
+    table
+}
 
-    let table = Table {
-        title: "E17: concurrent TCP serving — one warm session, loopback clients (latency in microseconds; det = digest multiset equals sequential serve_shared on both engines)"
-            .to_string(),
-        headers: [
-            "mix", "clients", "queries", "p50 us", "p95 us", "p99 us", "qps", "det",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        rows,
-    };
-    (table, format!("{{\"rows\":[{}]}}", extras.join(",")))
+/// A built table together with the wall-clock time it took to build — the
+/// quantity the bench trajectory (`BENCH_SCALE.json`) tracks across PRs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimedTable {
+    /// Experiment id (an [`Experiment::id`]).
+    pub id: &'static str,
+    /// The built table.
+    pub table: Table,
+    /// Wall-clock build time in milliseconds.
+    pub millis: f64,
+}
+
+/// Renders a list of tables as a single machine-readable JSON document
+/// (hand-rolled writer: the build environment has no serde). Each table
+/// entry carries its wall-clock build time in milliseconds, and tables
+/// with per-row extras embed them verbatim as `"extra":{"rows":[…]}`; the
+/// document records the engine thread count the run used (`--threads` /
+/// `LCS_THREADS`), so downstream consumers (the `BENCH_SCALE.json`
+/// trajectory, CI artifacts) can attribute timings to an engine.
+pub fn tables_to_json(tables: &[TimedTable], threads: usize) -> String {
+    use lcs_obs::json::{escape as esc, string_array};
+
+    let mut entries = Vec::new();
+    for timed in tables {
+        let table = &timed.table;
+        let rows: Vec<String> = table.rows.iter().map(|r| string_array(r)).collect();
+        let extra = if table.extras.is_empty() {
+            String::new()
+        } else {
+            format!(",\"extra\":{{\"rows\":[{}]}}", table.extras.join(","))
+        };
+        entries.push(format!(
+            "{{\"id\":\"{}\",\"title\":\"{}\",\"millis\":{:.3},\"headers\":{},\"rows\":[{}]{}}}",
+            esc(timed.id),
+            esc(&table.title),
+            timed.millis,
+            string_array(&table.headers),
+            rows.join(","),
+            extra
+        ));
+    }
+    format!(
+        "{{\"generator\":\"experiments\",\"threads\":{},\"tables\":[{}]}}\n",
+        threads,
+        entries.join(",")
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn one_row_table(title: &str, header: &str, cell: &str, extra: Option<&str>) -> Table {
+        let mut table = Table::new(title, &["a", header]);
+        table.push(
+            vec!["1".to_string(), cell.to_string()],
+            extra.map(String::from),
+        );
+        table
+    }
+
     #[test]
     fn render_table_aligns_columns() {
-        let table = Table {
-            title: "demo".to_string(),
-            headers: vec!["a".to_string(), "long-header".to_string()],
-            rows: vec![vec!["1".to_string(), "2".to_string()]],
-        };
-        let text = render_table(&table);
+        let text = render_table(&one_row_table("demo", "long-header", "2", None));
         assert!(text.contains("## demo"));
         assert!(text.contains("long-header"));
         assert!(text.lines().count() >= 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "row width must equal the header count")]
+    fn push_rejects_a_row_wider_than_the_headers() {
+        let mut table = Table::new("t", &["a"]);
+        table.push(vec!["1".to_string(), "2".to_string()], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "carries an extra, or none does")]
+    fn push_rejects_extras_on_some_rows_only() {
+        let mut table = one_row_table("t", "b", "2", Some("{}"));
+        table.push(vec!["3".to_string(), "4".to_string()], None);
     }
 
     #[test]
@@ -1966,17 +1848,12 @@ mod tests {
 
     #[test]
     fn json_writer_escapes_and_structures() {
-        let table = Table {
-            title: "with \"quotes\" and\nnewline".to_string(),
-            headers: vec!["a".to_string()],
-            rows: vec![vec!["x\\y".to_string()]],
-        };
+        let table = one_row_table("with \"quotes\" and\nnewline", "b", "x\\y", None);
         let json = tables_to_json(
             &[TimedTable {
-                id: "t1".to_string(),
+                id: "t1",
                 table,
                 millis: 12.5,
-                extra_json: None,
             }],
             4,
         );
@@ -1996,16 +1873,11 @@ mod tests {
 
     #[test]
     fn json_writer_embeds_extra_payloads_verbatim() {
-        let timed = timed_table_with_extra("e13", || {
-            (
-                Table {
-                    title: "t".to_string(),
-                    headers: vec!["h".to_string()],
-                    rows: vec![vec!["1".to_string()]],
-                },
-                Some("{\"rows\":[{\"p99\":7}]}".to_string()),
-            )
-        });
+        let timed = TimedTable {
+            id: "e13",
+            table: one_row_table("t", "h", "1", Some("{\"p99\":7}")),
+            millis: 1.0,
+        };
         let json = tables_to_json(&[timed], 1);
         assert!(
             json.contains(",\"extra\":{\"rows\":[{\"p99\":7}]}}"),
@@ -2018,7 +1890,7 @@ mod tests {
     fn e8_simulated_boruvka_agrees_end_to_end() {
         // The acceptance check behind E8's contract: Boruvka with simulated
         // execution still verifies against Kruskal — through the façade.
-        let g = generators::grid(4, 4);
+        let g = grid(4, 4);
         let w = EdgeWeights::random_permutation(&g, 2);
         let session = Pipeline::on(&g)
             .seed(1)
