@@ -52,7 +52,7 @@ use std::sync::{Barrier, Mutex};
 use lcs_graph::{Graph, NodeId, ShardMap};
 use lcs_obs::{LatencyHistogram, Obs, SpanBuffer};
 
-use crate::fault::{Delayed, FaultCounters, FaultState};
+use crate::fault::{Calendar, Delayed, FaultCounters, FaultState};
 use crate::{
     Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, RoundTrace, SimConfig, SimError,
     SimOutcome, SimStats,
@@ -96,15 +96,15 @@ struct Shared<M> {
     inboxes: [Vec<Mutex<Vec<Delayed<M>>>>; 2],
 }
 
-/// The fault-mode extension of one shard: its slice of the delivery queue
-/// (local recipients only — a delayed message lives in its *recipient's*
-/// shard), the per-node round inboxes it feeds, the fresh states held for
-/// this shard's restartable crash nodes, and the shard-local fault
-/// tallies. Fault decisions themselves come from the run-wide
+/// The fault-mode extension of one shard: its slice of the delivery
+/// calendar (local recipients only — a delayed message lives in its
+/// *recipient's* shard), the per-node round inboxes it feeds, the fresh
+/// states held for this shard's restartable crash nodes, and the
+/// shard-local fault tallies. Fault decisions themselves come from the run-wide
 /// [`FaultState`], which is immutable and shared by reference, so shard
 /// count cannot perturb a single draw.
 struct ShardFault<P: NodeProtocol> {
-    heap: BinaryHeap<Reverse<Delayed<P::Message>>>,
+    calendar: Calendar<P::Message>,
     /// Messages delivered to each local node this round (local-indexed,
     /// cleared after polling).
     inboxes: Vec<Vec<Incoming<P::Message>>>,
@@ -182,7 +182,7 @@ impl<P: NodeProtocol> Shard<P> {
     fn pending(&self) -> bool {
         !self.worklist_next.is_empty()
             || !self.wakes.is_empty()
-            || self.fault.as_ref().is_some_and(|f| !f.heap.is_empty())
+            || self.fault.as_ref().is_some_and(|f| f.calendar.len() > 0)
     }
 
     /// The checks and send accounting every post makes, with or without
@@ -273,7 +273,7 @@ impl<P: NodeProtocol> Shard<P> {
 
     /// Drains this shard's inbound queue (messages staged by other shards
     /// in the previous phase): into the next-round mailbox, or in fault
-    /// mode into the delivery heap (their due rounds are still in the
+    /// mode into the delivery calendar (their due rounds are still in the
     /// future, so ordering is preserved).
     fn merge_inbound(&mut self, phase: u64, shared: &Shared<P::Message>) {
         let staged = {
@@ -284,7 +284,7 @@ impl<P: NodeProtocol> Shard<P> {
         };
         for st in staged {
             if let Some(fault) = self.fault.as_mut() {
-                fault.heap.push(Reverse(st));
+                fault.calendar.push(st);
                 continue;
             }
             self.deliver_next(st.slot, st.to as usize, st.bits, st.msg);
@@ -457,10 +457,10 @@ impl<P: NodeProtocol> Shard<P> {
     /// [`Shard::post`], then the loss/delay/duplication schedule — every
     /// draw is keyed by the recipient-side slot and the round, never by
     /// which shard executes it. A local recipient's copy goes straight into
-    /// this shard's delivery heap; a remote one is staged with its
-    /// `(due, posted)` key and lands in the destination shard's heap at the
-    /// next merge (cross-shard copies are due no earlier than `round + 1`,
-    /// so the merge never arrives late).
+    /// this shard's delivery calendar; a remote one is staged with its
+    /// `(due, posted)` key and lands in the destination shard's calendar
+    /// at the next merge (cross-shard copies are due no earlier than
+    /// `round + 1`, so the merge never arrives late).
     fn post_faulty(
         &mut self,
         env: &Env<'_>,
@@ -500,13 +500,13 @@ impl<P: NodeProtocol> Shard<P> {
         Ok(())
     }
 
-    /// Queues a delayed copy: into this shard's delivery heap when the
+    /// Queues a delayed copy: into this shard's delivery calendar when the
     /// recipient is local, staged for the recipient's shard otherwise.
     fn enqueue(&mut self, env: &Env<'_>, copy: Delayed<P::Message>) {
         let to = copy.to as usize;
         if self.owns(to) {
             let fault = self.fault.as_mut().expect("fault mode is on");
-            fault.heap.push(Reverse(copy));
+            fault.calendar.push(copy);
         } else {
             self.stage(env, copy);
         }
@@ -569,15 +569,12 @@ impl<P: NodeProtocol> Shard<P> {
         let mut delivered: u64 = 0;
         let mut bits: u64 = 0;
         let fault = self.fault.as_mut().expect("fault mode is on");
-        fault.counters.queue_peak = fault.counters.queue_peak.max(fault.heap.len() as u64);
-        loop {
-            let fault = self.fault.as_mut().expect("fault mode is on");
-            if fault.heap.peek().is_none_or(|Reverse(d)| d.due > round) {
-                break;
-            }
-            let Reverse(d) = fault.heap.pop().expect("peeked entry exists");
+        fault.counters.queue_peak = fault.counters.queue_peak.max(fault.calendar.len() as u64);
+        let mut due = fault.calendar.take(round);
+        for d in due.drain(..) {
             debug_assert_eq!(d.due, round, "delivery rounds are never skipped");
             let to = d.to as usize;
+            let fault = self.fault.as_mut().expect("fault mode is on");
             if fs.crashed_at(to, round) {
                 fault.counters.crash_drops += 1;
                 continue;
@@ -594,9 +591,12 @@ impl<P: NodeProtocol> Shard<P> {
             });
             self.queue_local(to);
         }
+        let fault = self.fault.as_mut().expect("fault mode is on");
+        fault.calendar.recycle(due);
         self.begin_round();
         // The fault plane bypasses the mailbox buffers, so the trace
-        // contribution is the heap pop tally, not `in_flight_next`.
+        // contribution is the calendar's delivery tally, not
+        // `in_flight_next`.
         self.last_delivered = delivered;
         self.last_bits = bits;
         let worklist = std::mem::take(&mut self.worklist_cur);
@@ -846,7 +846,7 @@ where
         let fault = fault_state.as_ref().map(|_| {
             let split = spare_pool.partition_point(|(v, _)| (*v as usize) < range.start);
             ShardFault {
-                heap: BinaryHeap::new(),
+                calendar: Calendar::new(),
                 inboxes: (0..range.len()).map(|_| Vec::new()).collect(),
                 spares: spare_pool.split_off(split),
                 counters: FaultCounters::default(),

@@ -19,6 +19,7 @@
 //! that has passed on the global clock stays healed in later epochs.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 use lcs_graph::Graph;
 use lcs_obs::Obs;
@@ -389,7 +390,7 @@ impl FaultState {
 /// round `due`, into recipient-side slot `slot`. Ordered by
 /// `(due, slot, posted)` — a total order that is unique per entry (a slot
 /// receives at most one post per round, and a duplicate shares `slot` and
-/// `posted` but never `due`), so heap pop order is deterministic.
+/// `posted` but never `due`), so calendar order is deterministic.
 pub(crate) struct Delayed<M> {
     pub(crate) due: u64,
     pub(crate) slot: u32,
@@ -422,6 +423,65 @@ impl<M> PartialOrd for Delayed<M> {
 impl<M> Ord for Delayed<M> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.key().cmp(&other.key())
+    }
+}
+
+/// The fault plane's delivery queue: one bucket of [`Delayed`] copies per
+/// due round, indexed from the current round. A push is O(1); a round's
+/// copies come out of their bucket sorted by `(slot, posted)`, so the
+/// queue yields copies in exactly `(due, slot, posted)` order. Rounds are
+/// never skipped, so each round takes the front bucket, and a drained
+/// bucket is recycled at the back, keeping its allocation.
+pub(crate) struct Calendar<M> {
+    /// `buckets[i]` holds the copies due at round `front + i`.
+    buckets: VecDeque<Vec<Delayed<M>>>,
+    front: u64,
+    len: usize,
+}
+
+impl<M> Calendar<M> {
+    /// An empty calendar whose first due round is 1 (phase 0 is `init`).
+    pub(crate) fn new() -> Self {
+        Calendar {
+            buckets: VecDeque::new(),
+            front: 1,
+            len: 0,
+        }
+    }
+
+    /// Copies waiting in the calendar.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Queues a copy; it must not be due before the next round taken.
+    pub(crate) fn push(&mut self, copy: Delayed<M>) {
+        let i = copy
+            .due
+            .checked_sub(self.front)
+            .expect("copies are never due in a round already taken") as usize;
+        if i >= self.buckets.len() {
+            self.buckets.resize_with(i + 1, Vec::new);
+        }
+        self.buckets[i].push(copy);
+        self.len += 1;
+    }
+
+    /// Takes the copies due at `round`, in `(slot, posted)` order. Hand the
+    /// drained bucket back through [`Calendar::recycle`].
+    pub(crate) fn take(&mut self, round: u64) -> Vec<Delayed<M>> {
+        debug_assert_eq!(self.front, round, "delivery rounds are never skipped");
+        self.front += 1;
+        let mut due = self.buckets.pop_front().unwrap_or_default();
+        self.len -= due.len();
+        due.sort_unstable();
+        due
+    }
+
+    /// Returns a bucket emptied after [`Calendar::take`] for reuse.
+    pub(crate) fn recycle(&mut self, bucket: Vec<Delayed<M>>) {
+        debug_assert!(bucket.is_empty());
+        self.buckets.push_back(bucket);
     }
 }
 
@@ -559,6 +619,88 @@ mod tests {
         let v = healed.crash_nodes()[0] as usize;
         assert!(!healed.crashed_at(v, 1));
         assert_eq!(healed.restart_local_round(), None);
+    }
+
+    /// The calendar yields copies in exactly the order a `BinaryHeap` of
+    /// the same copies pops them: seeded streams post to distinct slots
+    /// each round with delays, add duplicates that land later, and stage
+    /// some copies for a merge at the start of the next round, as a
+    /// cross-shard post does.
+    #[test]
+    fn calendar_pops_in_heap_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let copy = |due: u64, slot: u32, posted: u64| Delayed {
+            due,
+            slot,
+            posted,
+            to: 0,
+            bits: 0,
+            msg: (),
+        };
+        let key = |d: &Delayed<()>| (d.due, d.slot, d.posted);
+        for seed in 0..16u64 {
+            let mut state = seed;
+            let mut draw = |n: u64| -> u64 {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let mut calendar: Calendar<()> = Calendar::new();
+            let mut heap: BinaryHeap<Reverse<Delayed<()>>> = BinaryHeap::new();
+            let mut staged: Vec<(u64, u32, u64)> = Vec::new();
+            let mut popped = 0usize;
+            for round in 0..200u64 {
+                // Merge last round's staged copies before this round pops.
+                for (due, slot, posted) in staged.drain(..) {
+                    calendar.push(copy(due, slot, posted));
+                    heap.push(Reverse(copy(due, slot, posted)));
+                }
+                if round > 0 {
+                    let mut due = calendar.take(round);
+                    let got: Vec<_> = due.drain(..).map(|d| key(&d)).collect();
+                    calendar.recycle(due);
+                    let mut want = Vec::new();
+                    while heap.peek().is_some_and(|Reverse(d)| d.due <= round) {
+                        want.push(key(&heap.pop().unwrap().0));
+                    }
+                    assert_eq!(got, want, "seed {seed} round {round}");
+                    popped += got.len();
+                }
+                assert_eq!(calendar.len(), heap.len());
+                if round >= 180 {
+                    continue; // drain the tail
+                }
+                for slot in 0..24u32 {
+                    if draw(3) != 0 {
+                        continue;
+                    }
+                    let due = round + 1 + draw(5);
+                    let mut keys = vec![(due, slot, round)];
+                    if draw(4) == 0 {
+                        keys.push((due + 1 + draw(3), slot, round));
+                    }
+                    for (due, slot, posted) in keys {
+                        if draw(2) == 0 {
+                            staged.push((due, slot, posted));
+                        } else {
+                            calendar.push(copy(due, slot, posted));
+                            heap.push(Reverse(copy(due, slot, posted)));
+                        }
+                    }
+                }
+            }
+            assert_eq!(calendar.len(), 0);
+            assert!(heap.is_empty());
+            assert!(
+                popped > 1000,
+                "seed {seed}: the stream must exercise the queue"
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl NodeProgram for CastProgram {
     type Cross = ();
 
     fn contribution(&mut self, info: &NodeInfo, m: &Membership, _step: u64) -> Option<u64> {
-        if info.own_membership == Some(member_index(info, m)) {
+        if info.own().is_some_and(|own| own.block == m.block) {
             self.value
         } else {
             None
@@ -64,7 +64,9 @@ impl NodeProgram for CastProgram {
     }
 
     fn on_agreed(&mut self, info: &NodeInfo, m: &Membership, val: &Option<u64>, _step: u64) {
-        let idx = member_index(info, m);
+        let idx = info
+            .membership_index(m.block)
+            .expect("membership belongs to this node");
         self.agreed.push((idx, *val));
         if info.own_membership == Some(idx) {
             self.own_agreed = *val;
@@ -89,14 +91,6 @@ impl NodeProgram for CastProgram {
     fn cross_bits(&self) -> usize {
         1
     }
-}
-
-/// Index of membership `m` within `info.memberships`.
-fn member_index(info: &NodeInfo, m: &Membership) -> usize {
-    info.memberships
-        .iter()
-        .position(|x| x.block == m.block)
-        .expect("membership belongs to this node")
 }
 
 fn run_cast(
@@ -131,9 +125,7 @@ fn run_cast(
         let root_node = &outcome.nodes[block.root.index()];
         let info = family.info(block.root);
         let m_idx = info
-            .memberships
-            .iter()
-            .position(|m| m.block == b_idx)
+            .membership_index(b_idx)
             .ok_or_else(|| DistError::ProtocolInvariant {
                 reason: format!("block {b_idx} root lacks a membership"),
             })?;

@@ -28,6 +28,18 @@
 //! intra-block and what is exchanged across part edges; the engine turns it
 //! into a [`NodeProtocol`] and runs it in the CONGEST simulator with the
 //! per-edge bandwidth enforced on every message.
+//!
+//! In fault-free runs a node on `k` blocks does `O(log k)` work per
+//! message it sends or receives, plus `O(k)` once per superstep to reset
+//! its per-block state; no poll scans its blocks. Arrivals find their
+//! membership by binary search (memberships are stored in block order),
+//! the Lemma 2 pick is the top of a heap of ready blocks keyed
+//! `(root depth, block)`, and the broadcast half reads a per-node list of
+//! mirrored sends that the arriving ups append to in schedule order. The
+//! fault-mode resend rotation still visits every block per poll.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use lcs_congest::{
     bits_for_count, Incoming, MessageBits, NodeContext, NodeProtocol, Outgoing, SimConfig,
@@ -92,18 +104,18 @@ impl<V: Clone, C: Clone> MessageBits for EngineMsg<V, C> {
     }
 }
 
-/// Per-membership state of the current superstep's convergecast/broadcast.
+/// Per-membership state of the current superstep's convergecast/broadcast,
+/// reset in place at every superstep start.
 #[derive(Debug, Clone)]
 struct Run<V> {
     pending: usize,
     acc: Option<V>,
     sent_up: bool,
     agreed: Option<V>,
-    /// `(child, relative delivery round)` of this superstep's upward
-    /// messages — the broadcast sends down over the same edges at the
-    /// mirrored rounds. In fault mode it doubles as the heard-from set
-    /// that deduplicates duplicated upward copies.
-    child_rel: Vec<(NodeId, u64)>,
+    /// Fault mode only: the children heard from this superstep, which
+    /// deduplicates duplicated upward copies (fault-free runs record the
+    /// mirror schedule in [`EngineNode::mirror`] instead).
+    heard: Vec<NodeId>,
     /// Fault mode only: which children have received their first downward
     /// copy (indexed like `Membership::children`; empty in fault-free
     /// runs, where the time-reversed mirror schedule is used instead).
@@ -143,11 +155,12 @@ pub(crate) fn engine_rounds(l: u64, spec: EngineSpec) -> u64 {
     (spec.steps - 1) * window + last
 }
 
-/// The engine as a per-node CONGEST protocol.
+/// The engine as a per-node CONGEST protocol, borrowing its local view
+/// from the family.
 #[derive(Debug)]
-pub(crate) struct EngineNode<P: NodeProgram> {
+pub(crate) struct EngineNode<'f, P: NodeProgram> {
     program: P,
-    info: NodeInfo,
+    info: &'f NodeInfo,
     l: u64,
     window: u64,
     steps: u64,
@@ -156,7 +169,18 @@ pub(crate) struct EngineNode<P: NodeProgram> {
     up_bits: usize,
     cross_msg_bits: usize,
     step: u64,
+    /// One run per membership, indexed like `info.memberships`.
     runs: Vec<Run<P::Val>>,
+    /// Ready, unsent, non-root memberships as `(root depth, membership)`:
+    /// the top is the Lemma 2 pick. Memberships are in block order, so the
+    /// membership index breaks ties exactly like the block index.
+    ready: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Fault-free broadcast schedule: `(send round, membership, child)` for
+    /// every up received this superstep. Ups arrive in increasing rounds
+    /// and mirror to decreasing ones, so the next send is always last.
+    mirror: Vec<(u64, u32, NodeId)>,
+    /// Fault mode: the neighbors already sent a tree message this poll.
+    used: Vec<NodeId>,
     finished: bool,
     /// Fault mode: tolerate delayed/lost/duplicated deliveries. `l` is the
     /// latency-stretched schedule length, the window layout changes to
@@ -169,7 +193,7 @@ pub(crate) struct EngineNode<P: NodeProgram> {
     cross_span: u64,
 }
 
-impl<P: NodeProgram> EngineNode<P> {
+impl<P: NodeProgram> EngineNode<'_, P> {
     /// The plugged-in program, for result extraction after the run.
     pub fn program(&self) -> &P {
         &self.program
@@ -181,46 +205,50 @@ impl<P: NodeProgram> EngineNode<P> {
 
     fn start_superstep(&mut self) {
         let step = self.step;
-        let faulty = self.faulty;
-        self.runs.clear();
-        for (i, m) in self.info.memberships.iter().enumerate() {
-            let contribution = self.program.contribution(&self.info, m, step);
-            self.runs.push(Run {
-                pending: m.children.len(),
-                acc: Some(contribution),
-                sent_up: false,
-                agreed: None,
-                child_rel: Vec::new(),
-                downs_sent: if faulty {
-                    vec![false; m.children.len()]
-                } else {
-                    Vec::new()
-                },
-            });
-            // Childless roots agree immediately.
-            if m.is_root && m.children.is_empty() {
-                let val = self.runs[i].acc.clone().expect("contribution just set");
-                self.runs[i].agreed = Some(val.clone());
-                self.program.on_agreed(&self.info, m, &val, step);
+        let info = self.info;
+        self.ready.clear();
+        self.mirror.clear();
+        for (i, m) in info.memberships.iter().enumerate() {
+            let contribution = self.program.contribution(info, m, step);
+            let run = &mut self.runs[i];
+            run.pending = m.children.len();
+            run.acc = Some(contribution);
+            run.sent_up = false;
+            run.agreed = None;
+            run.heard.clear();
+            run.downs_sent.fill(false);
+            if !m.children.is_empty() {
+                continue;
+            }
+            if m.is_root {
+                // Childless roots agree immediately.
+                let val = run.acc.clone().expect("contribution just set");
+                run.agreed = Some(val.clone());
+                self.program.on_agreed(info, m, &val, step);
+            } else {
+                self.ready.push(Reverse((m.root_depth, i as u32)));
             }
         }
     }
 
+    /// The index of the node's membership in `block`.
+    fn membership(&self, block: u32) -> usize {
+        self.info
+            .membership_index(block as usize)
+            .expect("tree messages only arrive within a block")
+    }
+
     fn handle_up(&mut self, from: NodeId, block: u32, val: P::Val, round: u64) {
         let step = self.step;
-        let idx = self
-            .info
-            .memberships
-            .iter()
-            .position(|m| m.block == block as usize)
-            .expect("upward messages only arrive within a block");
-        let rel = round - self.base();
+        let idx = self.membership(block);
+        let base = self.base();
+        let rel = round - base;
         if self.faulty {
             // Duplicated copies and spurious ups (e.g. from a restarted
             // child re-running its protocol) are dropped instead of
             // tripping the fault-free invariants below.
             let run = &self.runs[idx];
-            if run.pending == 0 || run.child_rel.iter().any(|&(c, _)| c == from) {
+            if run.pending == 0 || run.heard.contains(&from) {
                 return;
             }
         } else {
@@ -233,29 +261,57 @@ impl<P: NodeProgram> EngineNode<P> {
             .pending
             .checked_sub(1)
             .expect("no more child messages than children");
-        run.child_rel.push((from, rel));
+        if self.faulty {
+            run.heard.push(from);
+        } else if self.broadcast_down {
+            // Send back down over the same edge at the mirrored round.
+            self.mirror
+                .push((base + 2 * self.l - rel, idx as u32, from));
+        }
+        if run.pending > 0 {
+            return;
+        }
         let m = &self.info.memberships[idx];
-        if m.is_root && run.pending == 0 {
+        if m.is_root {
             let agreed = run.acc.clone().expect("set above");
             run.agreed = Some(agreed.clone());
-            self.program.on_agreed(&self.info, m, &agreed, step);
+            self.program.on_agreed(self.info, m, &agreed, step);
+        } else {
+            self.ready.push(Reverse((m.root_depth, idx as u32)));
         }
     }
 
     fn handle_down(&mut self, block: u32, val: P::Val) {
-        let idx = self
-            .info
-            .memberships
-            .iter()
-            .position(|m| m.block == block as usize)
-            .expect("downward messages only arrive within a block");
+        let idx = self.membership(block);
         if self.faulty && self.runs[idx].agreed.is_some() {
             return; // duplicated or resent copy — already agreed
         }
         let step = self.step;
         self.runs[idx].agreed = Some(val.clone());
         self.program
-            .on_agreed(&self.info, &self.info.memberships[idx], &val, step);
+            .on_agreed(self.info, &self.info.memberships[idx], &val, step);
+    }
+
+    /// Marks the Lemma 2 pick — the shallowest-rooted ready block, ties by
+    /// block — as sent and returns its Up, if any block is ready.
+    fn pick_up(&mut self) -> Option<Outgoing<EngineMsg<P::Val, P::Cross>>> {
+        let Reverse((_, i)) = self.ready.pop()?;
+        let i = i as usize;
+        let m = &self.info.memberships[i];
+        let parent = m.parent.expect("non-root memberships have parents");
+        let val = self.runs[i].acc.clone().expect("superstep started");
+        self.runs[i].sent_up = true;
+        Some(Outgoing::new(
+            parent,
+            EngineMsg {
+                payload: Payload::Up {
+                    block: m.block as u32,
+                    val,
+                },
+                bits: self.up_bits,
+                step: self.step as u32,
+            },
+        ))
     }
 
     fn emissions(&mut self, round: u64) -> Vec<Outgoing<EngineMsg<P::Val, P::Cross>>> {
@@ -264,59 +320,42 @@ impl<P: NodeProgram> EngineNode<P> {
 
         // Convergecast slot: forward the highest-priority ready block.
         if round >= base && round < base + self.l {
-            let pick = self
-                .info
-                .memberships
-                .iter()
-                .enumerate()
-                .filter(|(i, m)| !m.is_root && !self.runs[*i].sent_up && self.runs[*i].pending == 0)
-                .min_by_key(|(_, m)| (m.root_depth, m.block));
-            if let Some((i, m)) = pick {
-                let parent = m.parent.expect("non-root memberships have parents");
-                let val = self.runs[i].acc.clone().expect("superstep started");
-                let block = m.block as u32;
-                self.runs[i].sent_up = true;
-                out.push(Outgoing::new(
-                    parent,
-                    EngineMsg {
-                        payload: Payload::Up { block, val },
-                        bits: self.up_bits,
-                        step: self.step as u32,
-                    },
-                ));
-            }
+            out.extend(self.pick_up());
         }
 
-        // Broadcast slot: mirror this superstep's upward deliveries.
-        if self.broadcast_down && self.l > 0 && round >= base + self.l && round < base + 2 * self.l
-        {
-            for (i, m) in self.info.memberships.iter().enumerate() {
-                for &(child, rel) in &self.runs[i].child_rel {
-                    if round == base + 2 * self.l - rel {
-                        let val = self.runs[i].agreed.clone().unwrap_or_else(|| {
-                            panic!("broadcast window overflow in block {}", m.block)
-                        });
-                        out.push(Outgoing::new(
-                            child,
-                            EngineMsg {
-                                payload: Payload::Down {
-                                    block: m.block as u32,
-                                    val,
-                                },
-                                bits: self.up_bits,
-                                step: self.step as u32,
-                            },
-                        ));
-                    }
-                }
+        // Broadcast slot: mirror this superstep's upward deliveries. Every
+        // send due now is to a distinct child, so their order is
+        // unobservable.
+        while let Some(&(send, i, child)) = self.mirror.last() {
+            if send != round {
+                debug_assert!(send > round, "mirrored send round skipped");
+                break;
             }
+            self.mirror.pop();
+            let m = &self.info.memberships[i as usize];
+            let val = self.runs[i as usize]
+                .agreed
+                .clone()
+                .unwrap_or_else(|| panic!("broadcast window overflow in block {}", m.block));
+            out.push(Outgoing::new(
+                child,
+                EngineMsg {
+                    payload: Payload::Down {
+                        block: m.block as u32,
+                        val,
+                    },
+                    bits: self.up_bits,
+                    step: self.step as u32,
+                },
+            ));
         }
 
         // Cross round: the supergraph step, skipped after the last superstep.
         if self.broadcast_down && round == base + 2 * self.l && self.step + 1 < self.steps {
             let step = self.step;
-            for &(to, _) in &self.info.part_neighbors.clone() {
-                if let Some(msg) = self.program.cross_message(&self.info, to, step) {
+            let info = self.info;
+            for &(to, _) in &info.part_neighbors {
+                if let Some(msg) = self.program.cross_message(info, to, step) {
                     out.push(Outgoing::new(
                         to,
                         EngineMsg {
@@ -350,29 +389,12 @@ impl<P: NodeProgram> EngineNode<P> {
         let step_tag = self.step as u32;
 
         if round >= base && round < tree_end {
-            let mut used: Vec<NodeId> = Vec::new();
+            let mut used = std::mem::take(&mut self.used);
+            used.clear();
             // First-time Up: one per poll, by the greedy priority rule.
-            let pick = self
-                .info
-                .memberships
-                .iter()
-                .enumerate()
-                .filter(|(i, m)| !m.is_root && !self.runs[*i].sent_up && self.runs[*i].pending == 0)
-                .min_by_key(|(_, m)| (m.root_depth, m.block));
-            if let Some((i, m)) = pick {
-                let parent = m.parent.expect("non-root memberships have parents");
-                let val = self.runs[i].acc.clone().expect("superstep started");
-                let block = m.block as u32;
-                self.runs[i].sent_up = true;
-                used.push(parent);
-                out.push(Outgoing::new(
-                    parent,
-                    EngineMsg {
-                        payload: Payload::Up { block, val },
-                        bits: self.up_bits,
-                        step: step_tag,
-                    },
-                ));
+            if let Some(up) = self.pick_up() {
+                used.push(up.to);
+                out.push(up);
             }
             // First-time Downs: at most one per child edge per poll.
             if self.broadcast_down {
@@ -449,6 +471,7 @@ impl<P: NodeProgram> EngineNode<P> {
                     }
                 }
             }
+            self.used = used;
         }
 
         // Cross slot: resend at every poll (the program decides per call
@@ -459,8 +482,9 @@ impl<P: NodeProgram> EngineNode<P> {
             && self.step + 1 < self.steps
         {
             let step = self.step;
-            for &(to, _) in &self.info.part_neighbors.clone() {
-                if let Some(msg) = self.program.cross_message(&self.info, to, step) {
+            let info = self.info;
+            for &(to, _) in &info.part_neighbors {
+                if let Some(msg) = self.program.cross_message(info, to, step) {
                     out.push(Outgoing::new(
                         to,
                         EngineMsg {
@@ -477,7 +501,7 @@ impl<P: NodeProgram> EngineNode<P> {
     }
 }
 
-impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
+impl<P: NodeProgram> NodeProtocol for EngineNode<'_, P> {
     type Message = EngineMsg<P::Val, P::Cross>;
 
     fn init(&mut self, _ctx: &NodeContext) -> Vec<Outgoing<Self::Message>> {
@@ -524,7 +548,7 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
                     }
                     Payload::Down { block, val } => self.handle_down(*block, val.clone()),
                     Payload::Cross(c) => {
-                        self.program.on_cross(&self.info, msg.from, c.clone(), step)
+                        self.program.on_cross(self.info, msg.from, c.clone(), step)
                     }
                 }
             }
@@ -533,26 +557,24 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
             }
             return self.emissions_faulty(round);
         }
-        // Deliver tree-cast messages of the current superstep; stash the
-        // cross messages, which arrive exactly at window boundaries.
-        let mut crosses: Vec<(NodeId, P::Cross)> = Vec::new();
+        // Deliver the current superstep's messages. Cross messages arrive
+        // exactly at window boundaries, where no tree message does.
+        let boundary = self.step + 1 < self.steps && round == (self.step + 1) * self.window;
+        let step = self.step;
         for msg in incoming {
             match &msg.msg.payload {
                 Payload::Up { block, val } => self.handle_up(msg.from, *block, val.clone(), round),
                 Payload::Down { block, val } => self.handle_down(*block, val.clone()),
-                Payload::Cross(c) => crosses.push((msg.from, c.clone())),
+                Payload::Cross(c) => {
+                    debug_assert!(boundary, "cross message outside a boundary round");
+                    self.program.on_cross(self.info, msg.from, c.clone(), step);
+                }
             }
         }
-        // Window boundary: fold in the crosses, then open the next window.
-        if self.step + 1 < self.steps && round == (self.step + 1) * self.window {
-            let step = self.step;
-            for (from, c) in crosses {
-                self.program.on_cross(&self.info, from, c, step);
-            }
+        // Window boundary: open the next window.
+        if boundary {
             self.step += 1;
             self.start_superstep();
-        } else {
-            debug_assert!(crosses.is_empty(), "cross message outside a boundary round");
         }
         if round >= self.total_rounds {
             self.finished = true;
@@ -612,28 +634,17 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
         }
         // A ready block must be forwarded under the greedy priority rule as
         // soon as the next round: stay on the per-round schedule.
-        let ready = self
-            .info
-            .memberships
-            .iter()
-            .enumerate()
-            .any(|(i, m)| !m.is_root && !self.runs[i].sent_up && self.runs[i].pending == 0);
-        if ready {
+        if !self.ready.is_empty() {
             return None;
         }
         let base = self.base();
         // The finish flip is the fallback: every unfinished node must be
         // polled once at `total_rounds` to quiesce.
         let mut wake = self.total_rounds.max(now + 1);
-        if self.broadcast_down && self.l > 0 {
-            for run in &self.runs {
-                for &(_, rel) in &run.child_rel {
-                    let r = base + 2 * self.l - rel;
-                    if r > now {
-                        wake = wake.min(r);
-                    }
-                }
-            }
+        // The next mirrored send is the list's last entry; every send at or
+        // before `now` has left it.
+        if let Some(&(send, _, _)) = self.mirror.last() {
+            wake = wake.min(send);
         }
         if self.broadcast_down && self.step + 1 < self.steps && !self.info.part_neighbors.is_empty()
         {
@@ -660,14 +671,14 @@ impl<P: NodeProgram> NodeProtocol for EngineNode<P> {
 /// protocols must never inherit the generic `64·n + 1024` cap silently.
 /// Pass `config` to override (e.g. to enable tracing or change bandwidth);
 /// an explicit `max_rounds` in the override is respected.
-pub(crate) fn run_engine<P, F>(
+pub(crate) fn run_engine<'f, P, F>(
     graph: &Graph,
-    family: &BlockFamily,
+    family: &'f BlockFamily,
     spec: EngineSpec,
     config: Option<SimConfig>,
     obs: &Obs,
     mut make: F,
-) -> Result<SimOutcome<EngineNode<P>>>
+) -> Result<SimOutcome<EngineNode<'f, P>>>
 where
     P: NodeProgram,
     F: FnMut(&NodeInfo) -> P,
@@ -714,8 +725,8 @@ where
     };
     let sim = Simulator::new(graph, cfg).with_recorder(obs.clone());
     let outcome = sim.run(|ctx| {
-        let info = family.info(ctx.node).clone();
-        let program = make(&info);
+        let info = family.info(ctx.node);
+        let program = make(info);
         let up_bits = 2 + block_bits + step_bits + program.val_bits();
         let cross_msg_bits = 2 + step_bits + program.cross_bits();
         EngineNode {
@@ -729,7 +740,25 @@ where
             up_bits,
             cross_msg_bits,
             step: 0,
-            runs: Vec::new(),
+            runs: info
+                .memberships
+                .iter()
+                .map(|m| Run {
+                    pending: 0,
+                    acc: None,
+                    sent_up: false,
+                    agreed: None,
+                    heard: Vec::new(),
+                    downs_sent: if faulty {
+                        vec![false; m.children.len()]
+                    } else {
+                        Vec::new()
+                    },
+                })
+                .collect(),
+            ready: BinaryHeap::new(),
+            mirror: Vec::new(),
+            used: Vec::new(),
             finished: false,
             faulty,
             cross_span,

@@ -45,7 +45,8 @@ pub struct NodeInfo {
     pub node: NodeId,
     /// The node's part, if any.
     pub part: Option<PartId>,
-    /// The blocks this node belongs to (as a part member or Steiner node).
+    /// The blocks this node belongs to (as a part member or Steiner node),
+    /// in strictly increasing [`Membership::block`] order.
     pub memberships: Vec<Membership>,
     /// Index into [`NodeInfo::memberships`] of the block of the node's own
     /// part (every part member lies in exactly one block of its part).
@@ -60,6 +61,14 @@ impl NodeInfo {
     /// member.
     pub fn own(&self) -> Option<&Membership> {
         self.own_membership.map(|i| &self.memberships[i])
+    }
+
+    /// Index into [`NodeInfo::memberships`] of the node's membership in
+    /// `block`, found by binary search (memberships are in block order).
+    pub(crate) fn membership_index(&self, block: usize) -> Option<usize> {
+        self.memberships
+            .binary_search_by_key(&block, |m| m.block)
+            .ok()
     }
 }
 
@@ -274,6 +283,29 @@ mod tests {
             for &(u, e) in &info.part_neighbors {
                 assert_eq!(p.part_of(u), p.part_of(v));
                 assert!(g.edge_between(v, u) == Some(e));
+            }
+        }
+    }
+
+    /// The superstep engine finds a membership by binary search on its
+    /// block, so every node's memberships must be strictly increasing by
+    /// block — including on the hot nodes of a high-congestion family.
+    #[test]
+    fn memberships_are_strictly_increasing_by_block() {
+        for side in [5usize, 16] {
+            let g = generators::grid(side, side);
+            let t = RootedTree::bfs(&g, NodeId::new(0));
+            let p = generators::partitions::grid_columns(side, side);
+            for s in [ancestor_shortcut(&g, &t, &p), TreeShortcut::empty(&g, &p)] {
+                let family = BlockFamily::new(&g, &t, &p, &s);
+                for v in g.nodes() {
+                    let blocks: Vec<usize> =
+                        family.info(v).memberships.iter().map(|m| m.block).collect();
+                    assert!(
+                        blocks.windows(2).all(|w| w[0] < w[1]),
+                        "node {v:?} on {side}x{side}: {blocks:?}"
+                    );
+                }
             }
         }
     }

@@ -258,10 +258,10 @@ pub fn run_workload_obs(
 /// `workload/queries` counters, the merged latency distribution
 /// (`workload/latency` timer), the closed-loop client count
 /// (`workload/clients` gauge) and — open loop only — the
-/// scheduled-vs-start lag timer (`workload/open/lag`) and the high-water
-/// queue depth (`workload/open/max_queue_depth` gauge). Counters are
-/// trace facts, identical for every thread and client count; timers and
-/// the queue-depth gauge are measurements.
+/// scheduled-vs-start lag timer (`workload/open/lag`), which records how
+/// late the generator ran. Counters are trace facts, identical for every
+/// thread and client count, and the gauge is the configured client count;
+/// timers are measurements.
 ///
 /// # Errors
 ///
@@ -338,11 +338,10 @@ fn open_loop<T: Transport>(
     trace: &[QueryEvent],
     obs: &Obs,
 ) -> Result<Vec<Sample>, T::Error> {
-    // Driver probes accumulate into plain locals on the serving path (a
-    // histogram of start lags and a queue-depth high-water mark) and hit
-    // the registry once, after the loop — the hot path stays lock-free.
+    // The start-lag probe accumulates into a plain local histogram on the
+    // serving path and hits the registry once, after the loop — the hot
+    // path stays lock-free.
     let mut lag_hist = obs.is_on().then(LatencyHistogram::new);
-    let mut max_depth = 0u64;
     // The schedule starts at the first `due` call, once the connection is
     // open, so connecting is not charged to the first query.
     let mut start = None;
@@ -367,13 +366,6 @@ fn open_loop<T: Transport>(
                 // scheduled arrival: ~0 when the loop keeps up, the
                 // accumulated backlog when it doesn't.
                 hist.record(now.saturating_sub(arrival));
-                // Queue depth at start of service: this event plus every
-                // later one already due (the trace is arrival-sorted).
-                let depth = trace[slot..]
-                    .iter()
-                    .take_while(|e| e.arrival_nanos <= now)
-                    .count() as u64;
-                max_depth = max_depth.max(depth);
             }
             scheduled
         },
@@ -381,7 +373,6 @@ fn open_loop<T: Transport>(
     )?;
     if let Some(hist) = &lag_hist {
         obs.timer_merge("workload/open/lag", hist);
-        obs.gauge_max("workload/open/max_queue_depth", max_depth);
     }
     Ok(samples)
 }
